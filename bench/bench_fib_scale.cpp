@@ -1,20 +1,20 @@
-// bench_fib_scale — Internet-scale FIB sweep (ROADMAP item 1 / ISSUE 7).
+// bench_fib_scale — the FIB benchmark, from toy scale to the DFZ.
 //
-// Where bench_fib (A3) compares engine *mechanics* at toy scale, this lane
-// asks the deployment questions at DFZ scale, over synthesized tables with
-// realistic length histograms and allocation clustering (dip/fib/synth.hpp):
+// One lane for every LPM engine question (the cost inside F_32_match,
+// F_128_match and F_FIB), over synthesized tables with realistic length
+// histograms and allocation clustering (dip/fib/synth.hpp):
 //
-//   * BM_ScaleLookup*/N    — lookup ns per engine at 10k/100k/1M routes,
+//   * BM_ScaleLookup*/N    — lookup ns per engine at 1k/10k/100k/1M routes,
 //     with bytes/prefix and mean lookup depth as counters (the CRAM-lens
 //     trade-off surface: Dir24 buys depth ~1 with a 64 MiB slab; the tree
 //     bitmap holds ~tens of bytes/prefix at depth ~4-6).
-//     The binary trie rides along at 10k/100k only — ~1 GiB of pointer
-//     chasing at 1M is exactly the non-option the compressed engines exist
-//     to replace.
+//     The binary trie (the tests' oracle) rides along up to 100k only —
+//     ~1 GiB of pointer chasing at 1M is exactly the non-option the
+//     compressed engines exist to replace.
 //   * BM_ScaleLookup6*/N   — the IPv6 picture at 200k routes (/48-heavy).
-//   * BM_ScaleBuild*/N     — full-table build rate (routes/sec): the cost
-//     of standing up a snapshot from scratch, and the reason RouteJournal
-//     clones instead of rebuilding.
+//   * BM_ScaleBuild*/N     — full-table build rate (routes/sec) at 1k and
+//     100k: the cost of standing up a snapshot from scratch, and the reason
+//     RouteJournal clones instead of rebuilding.
 //   * BM_ChurnPublish*/N   — journal flush latency vs table size: clone an
 //     N-route table, apply a coalesced 32-update delta, publish, reclaim.
 //     Clone cost dominates, which is the tree bitmap's arena-copy advantage.
@@ -25,6 +25,7 @@
 //     updates_per_sec and publish latency; `blackholed` (pool drops +
 //     errors) must be 0 — every packet is covered by the stable aggregate
 //     throughout, so any drop is a lost-route window in the RCU swap.
+//   * BM_NameFibLookup     — the NDN name FIB (F_FIB) at 10k names.
 //
 // Tables are built once per (engine, size) and shared across legs; at 1M
 // routes the builds (Dir24's block refreshes especially) dominate process
@@ -42,6 +43,7 @@
 #include "bench_util.hpp"
 #include "dip/core/router_pool.hpp"
 #include "dip/ctrl/journal.hpp"
+#include "dip/fib/name_fib.hpp"
 #include "dip/fib/synth.hpp"
 
 namespace dip::bench {
@@ -117,9 +119,6 @@ void run_scale_lookup(benchmark::State& state, LpmEngine engine) {
 void BM_ScaleLookupBinaryTrie(benchmark::State& state) {
   run_scale_lookup(state, LpmEngine::kBinaryTrie);
 }
-void BM_ScaleLookupPatricia(benchmark::State& state) {
-  run_scale_lookup(state, LpmEngine::kPatricia);
-}
 void BM_ScaleLookupDir24(benchmark::State& state) {
   run_scale_lookup(state, LpmEngine::kDir24);
 }
@@ -127,10 +126,9 @@ void BM_ScaleLookupTreeBitmap(benchmark::State& state) {
   run_scale_lookup(state, LpmEngine::kTreeBitmap);
 }
 
-BENCHMARK(BM_ScaleLookupBinaryTrie)->Arg(10'000)->Arg(100'000);
-BENCHMARK(BM_ScaleLookupPatricia)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
-BENCHMARK(BM_ScaleLookupDir24)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
-BENCHMARK(BM_ScaleLookupTreeBitmap)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
+BENCHMARK(BM_ScaleLookupBinaryTrie)->Arg(1'000)->Arg(10'000)->Arg(100'000);
+BENCHMARK(BM_ScaleLookupDir24)->RangeMultiplier(10)->Range(1'000, 1'000'000);
+BENCHMARK(BM_ScaleLookupTreeBitmap)->RangeMultiplier(10)->Range(1'000, 1'000'000);
 
 void run_scale_lookup6(benchmark::State& state, LpmEngine engine) {
   const auto count = static_cast<std::size_t>(state.range(0));
@@ -144,14 +142,10 @@ void run_scale_lookup6(benchmark::State& state, LpmEngine engine) {
   report_shape(state, table, probes);
 }
 
-void BM_ScaleLookup6Patricia(benchmark::State& state) {
-  run_scale_lookup6(state, LpmEngine::kPatricia);
-}
 void BM_ScaleLookup6TreeBitmap(benchmark::State& state) {
   run_scale_lookup6(state, LpmEngine::kTreeBitmap);
 }
 
-BENCHMARK(BM_ScaleLookup6Patricia)->Arg(200'000);
 BENCHMARK(BM_ScaleLookup6TreeBitmap)->Arg(200'000);
 
 // ---------------------------------------------------------------------------
@@ -170,8 +164,8 @@ void run_scale_build(benchmark::State& state, LpmEngine engine) {
                           static_cast<std::int64_t>(count));
 }
 
-void BM_ScaleBuildPatricia(benchmark::State& state) {
-  run_scale_build(state, LpmEngine::kPatricia);
+void BM_ScaleBuildBinaryTrie(benchmark::State& state) {
+  run_scale_build(state, LpmEngine::kBinaryTrie);
 }
 void BM_ScaleBuildDir24(benchmark::State& state) {
   run_scale_build(state, LpmEngine::kDir24);
@@ -180,9 +174,9 @@ void BM_ScaleBuildTreeBitmap(benchmark::State& state) {
   run_scale_build(state, LpmEngine::kTreeBitmap);
 }
 
-BENCHMARK(BM_ScaleBuildPatricia)->Arg(100'000);
-BENCHMARK(BM_ScaleBuildDir24)->Arg(100'000);
-BENCHMARK(BM_ScaleBuildTreeBitmap)->Arg(100'000);
+BENCHMARK(BM_ScaleBuildBinaryTrie)->Arg(1'000);
+BENCHMARK(BM_ScaleBuildDir24)->Arg(1'000)->Arg(100'000);
+BENCHMARK(BM_ScaleBuildTreeBitmap)->Arg(1'000)->Arg(100'000);
 
 // ---------------------------------------------------------------------------
 // Churn: journal publish latency vs table size
@@ -228,14 +222,10 @@ void run_churn_publish(benchmark::State& state, LpmEngine engine) {
   }
 }
 
-void BM_ChurnPublishPatricia(benchmark::State& state) {
-  run_churn_publish(state, LpmEngine::kPatricia);
-}
 void BM_ChurnPublishTreeBitmap(benchmark::State& state) {
   run_churn_publish(state, LpmEngine::kTreeBitmap);
 }
 
-BENCHMARK(BM_ChurnPublishPatricia)->Arg(10'000)->Arg(100'000);
 BENCHMARK(BM_ChurnPublishTreeBitmap)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
 
 // ---------------------------------------------------------------------------
@@ -329,6 +319,30 @@ void BM_ChurnForwardPool(benchmark::State& state) {
 }
 
 BENCHMARK(BM_ChurnForwardPool)->Unit(benchmark::kMicrosecond);
+
+// ---------------------------------------------------------------------------
+// Name FIB (control-plane F_FIB)
+// ---------------------------------------------------------------------------
+
+void BM_NameFibLookup(benchmark::State& state) {
+  fib::NameFib name_fib;
+  crypto::Xoshiro256 rng(5);
+  std::vector<fib::Name> names;
+  for (int i = 0; i < 10000; ++i) {
+    fib::Name n;
+    n.append("org" + std::to_string(rng.below(64)));
+    n.append("site" + std::to_string(rng.below(256)));
+    n.append("obj" + std::to_string(i));
+    name_fib.insert(n.prefix(2), static_cast<std::uint32_t>(rng.below(16)));
+    names.push_back(std::move(n));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(name_fib.lookup(names[i++ % names.size()]));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_NameFibLookup);
 
 }  // namespace
 }  // namespace dip::bench

@@ -7,20 +7,19 @@
 //   4. for each FN: skip host-tagged; otherwise slice the target field and
 //      dispatch on the operation key
 //
-// Two dispatch strategies are provided (ablation A1):
-//   * kLoop      — the natural for-loop over FN[] (what the paper wanted);
-//   * kUnrolled  — a fixed if-else ladder on FN_Num mirroring the Tofino
-//                  compromise of §4.1 ("the simple if-else statement with
-//                  FN_Num to determine how many field operations to perform").
+// Step 4 is the natural for-loop over FN[] the paper wanted; the Tofino
+// if-else ladder on FN_Num (§4.1) is a hardware compromise that src/pisa
+// models (TnaModel::max_unrolled_fns), not a software path.
 //
 // The fast path is process_batch: a run-to-completion, two-phase burst
 // pipeline. Phase one binds every HeaderView and validates structure for
 // the whole burst (branch-predictable, cache friendly); phase two
-// dispatches FNs packet by packet. process() is a thin batch-of-one
-// wrapper, so both paths share one semantics. Per-FN module lookup goes
-// through a dense, registry-epoch-validated table instead of the hash map,
-// and the match FNs consult the RouterEnv flow cache before walking the
-// FIB (see flow_cache.hpp).
+// dispatches FNs — module-major waves for bursts of two or more, packet by
+// packet otherwise. process() is a thin batch-of-one wrapper, so both
+// paths share one semantics. Per-FN module lookup goes through a dense,
+// registry-epoch-validated table instead of the hash map, and the match
+// FNs consult the RouterEnv flow cache before walking the FIB (see
+// flow_cache.hpp).
 //
 // Observability: when RouterEnv::stats is installed, process_batch records
 // bind/validate/dispatch phase latencies (sampled per burst), per-OpKey
@@ -48,8 +47,6 @@
 
 namespace dip::core {
 
-enum class DispatchStrategy : std::uint8_t { kLoop, kUnrolled };
-
 /// How the router treats structurally damaged packets (chaos links flip
 /// bytes; see docs/FAULTS.md).
 ///   * kStrict  — bind failures drop as kMalformed (historical behaviour).
@@ -72,9 +69,8 @@ struct PacketRef {
 
 class Router {
  public:
-  Router(RouterEnv env, const OpRegistry* registry,
-         DispatchStrategy strategy = DispatchStrategy::kLoop)
-      : env_(std::move(env)), registry_(registry), strategy_(strategy) {}
+  Router(RouterEnv env, const OpRegistry* registry)
+      : env_(std::move(env)), registry_(registry) {}
 
   /// Process one DIP packet in place (tag fields may be rewritten).
   /// `packet` is the full DIP packet: header + payload. Thin wrapper over a
@@ -95,23 +91,8 @@ class Router {
 
   [[nodiscard]] RouterEnv& env() noexcept { return env_; }
   [[nodiscard]] const RouterEnv& env() const noexcept { return env_; }
-  [[nodiscard]] DispatchStrategy strategy() const noexcept { return strategy_; }
-  void set_strategy(DispatchStrategy s) noexcept { strategy_ = s; }
   [[nodiscard]] ValidationMode validation() const noexcept { return validation_; }
   void set_validation(ValidationMode m) noexcept { validation_ = m; }
-
-  /// Module-major (wave) burst dispatch toggle: phase 2 executes each FN
-  /// position across the whole burst, key-grouped, instead of packet by
-  /// packet (DESIGN.md §10). Defaults from the DIP_VECTOR environment knob
-  /// ("0" disables); only the kLoop strategy uses it.
-  [[nodiscard]] bool vector_dispatch() const noexcept { return vector_dispatch_; }
-  void set_vector_dispatch(bool on) noexcept { vector_dispatch_ = on; }
-
-  /// Software-prefetch toggle (header bytes one packet ahead, flow-cache
-  /// slots, FIB root slabs). Defaults from the DIP_PREFETCH environment
-  /// knob ("0" disables).
-  [[nodiscard]] bool prefetch_enabled() const noexcept { return prefetch_; }
-  void set_prefetch(bool on) noexcept { prefetch_ = on; }
 
  private:
   /// Dense module table size; OpKey values live well below this.
@@ -122,6 +103,13 @@ class Router {
     OpScratch scratch;
   };
 
+  /// Per-burst action tallies, flushed into env_.counters once per burst.
+  struct Tally {
+    std::uint64_t forwarded = 0;
+    std::uint64_t dropped = 0;
+    std::uint64_t errors = 0;
+  };
+
   /// Run one FN; returns false when processing must stop (drop/error).
   bool run_fn(const FnTriple& fn, HeaderView& view, FaceId ingress, SimTime now,
               FnRunState& state, ProcessResult& result);
@@ -130,6 +118,12 @@ class Router {
   bool run_match(const FnTriple& fn, OpModule* module, HeaderView& view,
                  FaceId ingress, SimTime now, FnRunState& state,
                  ProcessResult& result);
+
+  /// Per-packet epilogue shared by every dispatch shape: default-egress
+  /// fallback (else a kNoRoute drop), a trace record when `sampled`, and
+  /// the action tally.
+  void finish_packet(std::size_t i, FaceId ingress, SimTime now, bool sampled,
+                     std::uint64_t t_start, ProcessResult& result, Tally& tally);
 
   /// Push one sampled packet's execution record into the stats trace ring.
   void record_trace(const HeaderView& view, FaceId ingress, SimTime now,
@@ -147,14 +141,13 @@ class Router {
   /// Phase 2 of process_batch: classify the burst, run eligible packets
   /// through position-major waves (module-major within each wave), the
   /// rest through the legacy per-packet path. Accumulates the phase's
-  /// action tallies into the caller's locals.
+  /// action tallies into `tally`.
   /// `waves_allowed`/`exemplar`/`uniform` carry phase 1's uniform-program
   /// detection (exemplar == packet count when no packet bound).
   void dispatch_burst(std::span<const PacketRef> packets, FaceId ingress, SimTime now,
                       std::span<ProcessResult> results, telemetry::RouterStats* stats,
                       bool waves_allowed, std::size_t exemplar, bool uniform,
-                      std::uint64_t& forwarded, std::uint64_t& dropped,
-                      std::uint64_t& errors);
+                      Tally& tally);
 
   /// Uniform-burst fast plan: every bound packet carries the identical FN
   /// program (same triples, no parallel bit, <=1 stateful FN), so each
@@ -165,8 +158,7 @@ class Router {
                               std::span<ProcessResult> results,
                               telemetry::RouterStats* stats, std::size_t exemplar,
                               std::uint8_t* smp, std::uint8_t* alive,
-                              FnRunState* states, std::uint64_t& forwarded,
-                              std::uint64_t& dropped, std::uint64_t& errors);
+                              FnRunState* states, Tally& tally);
 
   /// Route one same-key wave group to its kernel: the §2.4 unsupported
   /// handling once per group, then flow-cache match / batched crypto /
@@ -197,14 +189,9 @@ class Router {
                       std::uint8_t* alive, const std::uint8_t* sampled,
                       std::span<ProcessResult> results);
 
-  /// Environment boolean knob: unset -> `dflt`, "0" -> false, else true.
-  [[nodiscard]] static bool env_flag(const char* name, bool dflt) noexcept;
-
+  /// Legacy per-packet dispatch: FN[] in order, or the relaxed schedule
+  /// when the §2.2 parallel bit is set and verified safe.
   void dispatch(HeaderView& view, FaceId ingress, SimTime now, ProcessResult& result);
-  void dispatch_loop(HeaderView& view, FaceId ingress, SimTime now,
-                     ProcessResult& result);
-  void dispatch_unrolled(HeaderView& view, FaceId ingress, SimTime now,
-                         ProcessResult& result);
   /// Relaxed-order schedule for the §2.2 parallel bit (any order is legal;
   /// we run the FN list back to front).
   void dispatch_relaxed(HeaderView& view, FaceId ingress, SimTime now,
@@ -220,16 +207,12 @@ class Router {
 
   RouterEnv env_;
   const OpRegistry* registry_;
-  DispatchStrategy strategy_;
   ValidationMode validation_ = ValidationMode::kStrict;
 
   // Dense key->module table rebuilt when the registry epoch moves (the §5
   // runtime-upgrade path keeps working; steady-state lookups are one load).
   std::array<OpModule*, kModuleTableSize> module_table_{};
   std::uint64_t module_epoch_ = ~std::uint64_t{0};
-
-  bool vector_dispatch_ = env_flag("DIP_VECTOR", true);
-  bool prefetch_ = env_flag("DIP_PREFETCH", true);
 
   // Batch scratch, kept across bursts so the steady path never allocates.
   std::vector<HeaderView> views_;

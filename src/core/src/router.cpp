@@ -1,7 +1,6 @@
 #include "dip/core/router.hpp"
 
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 #include <new>
 
@@ -15,12 +14,6 @@
 #endif
 
 namespace dip::core {
-
-bool Router::env_flag(const char* name, bool dflt) noexcept {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return dflt;
-  return !(v[0] == '0' && v[1] == '\0');
-}
 
 ProcessResult Router::process(std::span<std::uint8_t> packet, FaceId ingress,
                               SimTime now) {
@@ -60,9 +53,7 @@ void Router::process_batch(std::span<const PacketRef> packets, FaceId ingress,
   // Waves pay per-burst setup (classification, group lists) that a batch
   // of one cannot amortize, so singletons keep the per-packet engine; work
   // items index packets in 16 bits, bounding the burst at 64k.
-  const bool waves_allowed = vector_dispatch_ &&
-                             strategy_ == DispatchStrategy::kLoop && n >= 2 &&
-                             n <= 0xFFFF;
+  const bool waves_allowed = n >= 2 && n <= 0xFFFF;
 
   // Uniform-program detection rides phase 1: line-rate traffic is
   // overwhelmingly homogeneous (every packet carries the same FN triples;
@@ -99,11 +90,11 @@ void Router::process_batch(std::span<const PacketRef> packets, FaceId ingress,
   // packet ahead: the basic header and FN triples of packet i+1 land in L1
   // while packet i decodes. Untimed bursts take one merged pass; timed
   // bursts split it so the bind/validate histograms stay separable.
-  std::uint64_t dropped = 0;
+  Tally tally;
   const bool lenient = validation_ == ValidationMode::kLenient;
   if (!burst_timed) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (prefetch_ && i + 1 < n && !packets[i + 1].bytes.empty()) {
+      if (i + 1 < n && !packets[i + 1].bytes.empty()) {
         DIP_PREFETCH_R(packets[i + 1].bytes.data());
         if (packets[i + 1].bytes.size() > 64) {
           DIP_PREFETCH_R(packets[i + 1].bytes.data() + 64);
@@ -117,24 +108,24 @@ void Router::process_batch(std::span<const PacketRef> packets, FaceId ingress,
         } else {
           results[i].drop(DropReason::kMalformed);
         }
-        ++dropped;
+        ++tally.dropped;
         continue;
       }
       if (lenient && !fns_fit(views_[i])) {
         // A bindable header whose FN slices overrun the locations block is
         // byte damage, not a protocol violation: quarantine it.
         quarantine(&views_[i], ingress, now, results[i]);
-        ++dropped;
+        ++tally.dropped;
         continue;
       }
       if (views_[i].fns().size() > env_.limits.max_fn_per_packet) {
         results[i].drop(DropReason::kBudgetExhausted);
-        ++dropped;
+        ++tally.dropped;
         continue;
       }
       if (!views_[i].decrement_hop_limit()) {
         results[i].drop(DropReason::kHopLimitExceeded);
-        ++dropped;
+        ++tally.dropped;
         continue;
       }
       bound_[i] = 1;
@@ -143,7 +134,7 @@ void Router::process_batch(std::span<const PacketRef> packets, FaceId ingress,
   } else {
     // Phase 1a: bind.
     for (std::size_t i = 0; i < n; ++i) {
-      if (prefetch_ && i + 1 < n && !packets[i + 1].bytes.empty()) {
+      if (i + 1 < n && !packets[i + 1].bytes.empty()) {
         DIP_PREFETCH_R(packets[i + 1].bytes.data());
         if (packets[i + 1].bytes.size() > 64) {
           DIP_PREFETCH_R(packets[i + 1].bytes.data() + 64);
@@ -171,25 +162,25 @@ void Router::process_batch(std::span<const PacketRef> packets, FaceId ingress,
     // packet.
     for (std::size_t i = 0; i < n; ++i) {
       if (!bound_[i]) {
-        ++dropped;
+        ++tally.dropped;
         continue;
       }
       if (lenient && !fns_fit(views_[i])) {
         quarantine(&views_[i], ingress, now, results[i]);
         bound_[i] = 0;
-        ++dropped;
+        ++tally.dropped;
         continue;
       }
       if (views_[i].fns().size() > env_.limits.max_fn_per_packet) {
         results[i].drop(DropReason::kBudgetExhausted);
         bound_[i] = 0;
-        ++dropped;
+        ++tally.dropped;
         continue;
       }
       if (!views_[i].decrement_hop_limit()) {
         results[i].drop(DropReason::kHopLimitExceeded);
         bound_[i] = 0;
-        ++dropped;
+        ++tally.dropped;
         continue;
       }
       track_uniform(i);
@@ -201,23 +192,25 @@ void Router::process_batch(std::span<const PacketRef> packets, FaceId ingress,
     }
   }
 
-  if (stats != nullptr) stats->burst_bound += n - dropped;
+  if (stats != nullptr) stats->burst_bound += n - tally.dropped;
 
   // Phase 2: dispatch FNs. Eligible packets go through position-major
   // waves (module-major within a wave); the rest take the legacy
   // per-packet path. See dispatch_burst for the eligibility contract.
-  std::uint64_t forwarded = 0;
-  std::uint64_t errors = 0;
   dispatch_burst(packets, ingress, now, results, stats, waves_allowed, exemplar,
-                 uniform, forwarded, dropped, errors);
+                 uniform, tally);
+  if (stats != nullptr) {
+    stats->arena_high_water.record(arena_.high_water());
+    stats->arena_capacity.record(arena_.capacity());
+  }
   if (burst_timed) {
     stats->phase_dispatch.record(telemetry::now_ns() - t_phase);
   }
 
   env_.counters.processed += packets.size();
-  if (forwarded != 0) env_.counters.forwarded += forwarded;
-  if (dropped != 0) env_.counters.dropped += dropped;
-  if (errors != 0) env_.counters.errors += errors;
+  if (tally.forwarded != 0) env_.counters.forwarded += tally.forwarded;
+  if (tally.dropped != 0) env_.counters.dropped += tally.dropped;
+  if (tally.errors != 0) env_.counters.errors += tally.errors;
 
   // Burst boundary: no snapshot pointers survive past here, so announce a
   // quiescent state to the control plane (no-op without one).
@@ -227,9 +220,7 @@ void Router::process_batch(std::span<const PacketRef> packets, FaceId ingress,
 void Router::dispatch_burst(std::span<const PacketRef> packets, FaceId ingress,
                             SimTime now, std::span<ProcessResult> results,
                             telemetry::RouterStats* stats, bool waves_allowed,
-                            std::size_t exemplar, bool uniform,
-                            std::uint64_t& forwarded, std::uint64_t& dropped,
-                            std::uint64_t& errors) {
+                            std::size_t exemplar, bool uniform, Tally& tally) {
   const std::size_t n = packets.size();
   arena_.reset();
 
@@ -266,7 +257,7 @@ void Router::dispatch_burst(std::span<const PacketRef> packets, FaceId ingress,
     }
     if (stateful <= 1) {
       dispatch_burst_uniform(n, ingress, now, results, stats, exemplar, smp,
-                             alive, states, forwarded, dropped, errors);
+                             alive, states, tally);
       return;
     }
   }
@@ -437,24 +428,9 @@ void Router::dispatch_burst(std::span<const PacketRef> packets, FaceId ingress,
       }
     }
 
-    // Finalize wave packets: default-egress fallback, trace records, action
-    // tallies — the per-packet engine's epilogue, verbatim.
     for (std::size_t i = 0; i < n; ++i) {
       if (mode[i] != kWave) continue;
-      ProcessResult& result = results[i];
-      if (result.action == Action::kForward && result.egress.empty()) {
-        if (env_.default_egress) {
-          result.egress.push_back(*env_.default_egress);
-        } else {
-          result.drop(DropReason::kNoRoute);
-        }
-      }
-      if (smp[i]) record_trace(views_[i], ingress, now, t_wave, result);
-      switch (result.action) {
-        case Action::kForward: ++forwarded; break;
-        case Action::kDrop: ++dropped; break;
-        case Action::kError: ++errors; break;
-      }
+      finish_packet(i, ingress, now, smp[i] != 0, t_wave, results[i], tally);
     }
   }
 
@@ -469,29 +445,7 @@ void Router::dispatch_burst(std::span<const PacketRef> packets, FaceId ingress,
     sample_this_packet_ = smp[i] != 0;
     dispatch(views_[i], ingress, now, result);
     sample_this_packet_ = false;
-
-    // No match FN decided an egress: fall back to the wired default port
-    // (the paper's one-hop eval setup), else drop.
-    if (result.action == Action::kForward && result.egress.empty()) {
-      if (env_.default_egress) {
-        result.egress.push_back(*env_.default_egress);
-      } else {
-        result.drop(DropReason::kNoRoute);
-      }
-    }
-
-    if (smp[i]) record_trace(views_[i], ingress, now, t_dispatch, result);
-
-    switch (result.action) {
-      case Action::kForward: ++forwarded; break;
-      case Action::kDrop: ++dropped; break;
-      case Action::kError: ++errors; break;
-    }
-  }
-
-  if (stats != nullptr) {
-    stats->arena_high_water.record(arena_.high_water());
-    stats->arena_capacity.record(arena_.capacity());
+    finish_packet(i, ingress, now, smp[i] != 0, t_dispatch, result, tally);
   }
 }
 
@@ -500,8 +454,7 @@ void Router::dispatch_burst_uniform(std::size_t n, FaceId ingress, SimTime now,
                                     telemetry::RouterStats* stats,
                                     std::size_t exemplar, std::uint8_t* smp,
                                     std::uint8_t* alive, FnRunState* states,
-                                    std::uint64_t& forwarded, std::uint64_t& dropped,
-                                    std::uint64_t& errors) {
+                                    Tally& tally) {
   // The whole burst is one wave group per FN position: `live` lists the
   // still-running packets in arrival order and is compacted in place after
   // each wave, so group order is always arrival order (the stateful-FN
@@ -536,29 +489,9 @@ void Router::dispatch_burst_uniform(std::size_t n, FaceId ingress, SimTime now,
     live_n = w;
   }
 
-  // Epilogue: default-egress fallback, trace records, action tallies —
-  // identical to the per-packet engine's.
   for (std::size_t i = 0; i < n; ++i) {
     if (!bound_[i]) continue;
-    ProcessResult& result = results[i];
-    if (result.action == Action::kForward && result.egress.empty()) {
-      if (env_.default_egress) {
-        result.egress.push_back(*env_.default_egress);
-      } else {
-        result.drop(DropReason::kNoRoute);
-      }
-    }
-    if (smp[i]) record_trace(views_[i], ingress, now, t_wave, result);
-    switch (result.action) {
-      case Action::kForward: ++forwarded; break;
-      case Action::kDrop: ++dropped; break;
-      case Action::kError: ++errors; break;
-    }
-  }
-
-  if (stats != nullptr) {
-    stats->arena_high_water.record(arena_.high_water());
-    stats->arena_capacity.record(arena_.capacity());
+    finish_packet(i, ingress, now, smp[i] != 0, t_wave, results[i], tally);
   }
 }
 
@@ -656,7 +589,7 @@ void Router::wave_match(OpKey key, OpModule* module, std::size_t pos,
     slices[k] = slice;
     hashes[k] = FlowCache::hash({slice, want_bytes});
     fast[k] = 1;
-    if (prefetch_) cache->prefetch(hashes[k]);
+    cache->prefetch(hashes[k]);
   }
 
   // Pass B, in arrival order (a miss's insert must be visible to the next
@@ -699,7 +632,7 @@ void Router::wave_match(OpKey key, OpModule* module, std::size_t pos,
       continue;
     }
     ++misses;
-    if (prefetch_ && f32 != nullptr) {
+    if (f32 != nullptr) {
       // Pull the FIB's first dependent load (DIR-24-8 base slab) while the
       // module sets up its walk.
       fib::Ipv4Addr addr{};
@@ -849,6 +782,25 @@ void Router::wave_mac(OpModule* module, std::size_t pos,
   env_.counters.fn_by_key[key_slot] += executed;
 }
 
+void Router::finish_packet(std::size_t i, FaceId ingress, SimTime now, bool sampled,
+                           std::uint64_t t_start, ProcessResult& result, Tally& tally) {
+  // No match FN decided an egress: fall back to the wired default port
+  // (the paper's one-hop eval setup), else drop.
+  if (result.action == Action::kForward && result.egress.empty()) {
+    if (env_.default_egress) {
+      result.egress.push_back(*env_.default_egress);
+    } else {
+      result.drop(DropReason::kNoRoute);
+    }
+  }
+  if (sampled) record_trace(views_[i], ingress, now, t_start, result);
+  switch (result.action) {
+    case Action::kForward: ++tally.forwarded; break;
+    case Action::kDrop: ++tally.dropped; break;
+    case Action::kError: ++tally.errors; break;
+  }
+}
+
 void Router::record_trace(const HeaderView& view, FaceId ingress, SimTime now,
                           std::uint64_t t_start, const ProcessResult& result) {
   static_assert(telemetry::TraceRecord::kMaxFns == HeaderView::kMaxFns);
@@ -921,10 +873,9 @@ void Router::dispatch(HeaderView& view, FaceId ingress, SimTime now,
     }
     ++env_.counters.parallel_fallback;
   }
-  if (strategy_ == DispatchStrategy::kLoop) {
-    dispatch_loop(view, ingress, now, result);
-  } else {
-    dispatch_unrolled(view, ingress, now, result);
+  FnRunState state{env_.limits.per_packet_budget, {}};
+  for (const FnTriple& fn : view.fns()) {
+    if (!run_fn(fn, view, ingress, now, state, result)) return;
   }
 }
 
@@ -1100,14 +1051,6 @@ bool Router::run_match(const FnTriple& fn, OpModule* module, HeaderView& view,
   return result.action == Action::kForward;
 }
 
-void Router::dispatch_loop(HeaderView& view, FaceId ingress, SimTime now,
-                           ProcessResult& result) {
-  FnRunState state{env_.limits.per_packet_budget, {}};
-  for (const FnTriple& fn : view.fns()) {
-    if (!run_fn(fn, view, ingress, now, state, result)) return;
-  }
-}
-
 void Router::dispatch_relaxed(HeaderView& view, FaceId ingress, SimTime now,
                               ProcessResult& result) {
   // Relaxed ordering: any schedule is legal for independent FNs. Running
@@ -1119,40 +1062,6 @@ void Router::dispatch_relaxed(HeaderView& view, FaceId ingress, SimTime now,
   for (std::size_t i = fns.size(); i-- > 0;) {
     if (!run_fn(fns[i], view, ingress, now, state, result)) return;
   }
-}
-
-void Router::dispatch_unrolled(HeaderView& view, FaceId ingress, SimTime now,
-                               ProcessResult& result) {
-  // Mirrors the Tofino compromise: a fixed ladder testing FN_Num, with the
-  // per-position FN handling fully written out (no data-dependent loop).
-  // Functionally identical to dispatch_loop for fn_num <= kMaxFns.
-  FnRunState state{env_.limits.per_packet_budget, {}};
-  const auto fns = view.fns();
-  const std::size_t n = fns.size();
-
-#define DIP_STAGE(i)                                                            \
-  do {                                                                          \
-    if (n <= (i)) return;                                                       \
-    if (!run_fn(fns[(i)], view, ingress, now, state, result)) return;           \
-  } while (0)
-
-  DIP_STAGE(0);
-  DIP_STAGE(1);
-  DIP_STAGE(2);
-  DIP_STAGE(3);
-  DIP_STAGE(4);
-  DIP_STAGE(5);
-  DIP_STAGE(6);
-  DIP_STAGE(7);
-  DIP_STAGE(8);
-  DIP_STAGE(9);
-  DIP_STAGE(10);
-  DIP_STAGE(11);
-  DIP_STAGE(12);
-  DIP_STAGE(13);
-  DIP_STAGE(14);
-  DIP_STAGE(15);
-#undef DIP_STAGE
 }
 
 }  // namespace dip::core

@@ -5,9 +5,11 @@
 // two publishes collapse to the final state) and, on flush(), builds each
 // dirty table's replacement copy-on-write: clone the live snapshot, apply
 // the pending deltas, publish, and reclaim whatever grace periods have
-// elapsed. Publishing at a configurable cadence instead of per-operation is
-// what keeps snapshot/reclamation cost proportional to the *publish* rate,
-// not the churn rate — the CRAM/BGP-churn regime the bench sweeps.
+// elapsed. Clones inherit the seed's engine; an LPM table built from
+// scratch (no seed, nothing published yet) is a tree bitmap. Publishing at
+// a configurable cadence instead of per-operation is what keeps
+// snapshot/reclamation cost proportional to the *publish* rate, not the
+// churn rate — the CRAM/BGP-churn regime the bench sweeps.
 //
 // Thread contract: all methods are single-writer (one control thread);
 // data-plane readers never touch the journal.
@@ -29,13 +31,6 @@
 
 namespace dip::ctrl {
 
-struct JournalConfig {
-  /// Engines used when a table is built from scratch (no snapshot published
-  /// yet and no seed); clones inherit the seed's engine regardless.
-  fib::LpmEngine engine32 = fib::LpmEngine::kPatricia;
-  fib::LpmEngine engine128 = fib::LpmEngine::kPatricia;
-};
-
 struct JournalStats {
   std::uint64_t ops_enqueued = 0;    ///< every add_/remove_/set_ call
   std::uint64_t ops_coalesced = 0;   ///< ops absorbed by a pending same-key op
@@ -53,8 +48,7 @@ struct JournalStats {
 
 class RouteJournal {
  public:
-  explicit RouteJournal(std::shared_ptr<ControlTables> tables,
-                        JournalConfig config = {});
+  explicit RouteJournal(std::shared_ptr<ControlTables> tables);
 
   /// Publish initial snapshots cloned from existing (static) tables; null
   /// arguments are skipped. Call once before traffic if the node starts
@@ -94,7 +88,6 @@ class RouteJournal {
   void put(std::map<K, V>& map, K key, V value);
 
   std::shared_ptr<ControlTables> tables_;
-  JournalConfig config_;
   JournalStats stats_;
 
   // Pending delta maps: nullopt value = remove. Ordered keys make the apply

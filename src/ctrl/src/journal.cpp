@@ -5,9 +5,30 @@
 
 namespace dip::ctrl {
 
-RouteJournal::RouteJournal(std::shared_ptr<ControlTables> tables,
-                           JournalConfig config)
-    : tables_(std::move(tables)), config_(config) {}
+namespace {
+
+/// Copy-on-write build of one LPM table: clone the live snapshot (or start
+/// an empty tree bitmap), apply the coalesced deltas in key order, publish.
+template <std::size_t W>
+void publish_lpm(SnapshotTable<fib::LpmTable<W>>& table, QsbrDomain& domain,
+                 const std::map<fib::Prefix<W>, std::optional<fib::NextHop>>& pending) {
+  const auto base = table.share();
+  std::unique_ptr<fib::LpmTable<W>> next =
+      base ? base->clone() : fib::make_lpm<W>(fib::LpmEngine::kTreeBitmap);
+  for (const auto& [prefix, nh] : pending) {
+    if (nh) {
+      next->insert(prefix, *nh);
+    } else {
+      next->remove(prefix);
+    }
+  }
+  table.publish(std::shared_ptr<const fib::LpmTable<W>>(std::move(next)), domain);
+}
+
+}  // namespace
+
+RouteJournal::RouteJournal(std::shared_ptr<ControlTables> tables)
+    : tables_(std::move(tables)) {}
 
 void RouteJournal::seed(const fib::Ipv4Lpm* fib32, const fib::Ipv6Lpm* fib128,
                         const fib::XidTable* xid, const fib::NameFib* names) {
@@ -93,38 +114,16 @@ std::size_t RouteJournal::flush() {
   std::size_t published = 0;
 
   if (!pending32_.empty()) {
-    const auto base = tables_->fib32.share();
-    std::unique_ptr<fib::Ipv4Lpm> next =
-        base ? base->clone() : fib::make_lpm<32>(config_.engine32);
-    for (const auto& [prefix, nh] : pending32_) {
-      if (nh) {
-        next->insert(prefix, *nh);
-      } else {
-        next->remove(prefix);
-      }
-    }
+    publish_lpm(tables_->fib32, tables_->domain, pending32_);
     stats_.updates_applied += pending32_.size();
     pending32_.clear();
-    tables_->fib32.publish(
-        std::shared_ptr<const fib::Ipv4Lpm>(std::move(next)), tables_->domain);
     ++published;
   }
 
   if (!pending128_.empty()) {
-    const auto base = tables_->fib128.share();
-    std::unique_ptr<fib::Ipv6Lpm> next =
-        base ? base->clone() : fib::make_lpm<128>(config_.engine128);
-    for (const auto& [prefix, nh] : pending128_) {
-      if (nh) {
-        next->insert(prefix, *nh);
-      } else {
-        next->remove(prefix);
-      }
-    }
+    publish_lpm(tables_->fib128, tables_->domain, pending128_);
     stats_.updates_applied += pending128_.size();
     pending128_.clear();
-    tables_->fib128.publish(
-        std::shared_ptr<const fib::Ipv6Lpm>(std::move(next)), tables_->domain);
     ++published;
   }
 

@@ -1,9 +1,10 @@
 // Longest-prefix-match table interface.
 //
-// F_32_match, F_128_match and F_FIB all reduce to LPM over some key space;
-// the engines behind this interface are the subject of ablation A3
-// (bench_fib) and the scale sweep (bench_fib_scale): binary trie vs
-// Patricia trie vs DIR-24-8 vs tree bitmap. docs/FIB.md is the catalogue.
+// F_32_match, F_128_match and F_FIB all reduce to LPM over some key space.
+// The tree bitmap is the production engine (every table the router, the
+// netsim environments and the control plane build); the binary trie is the
+// test oracle and DIR-24-8 the opt-in IPv4 lookup-speed engine.
+// bench_fib_scale sweeps all three; docs/FIB.md is the catalogue.
 //
 // The base class tracks a route-table *generation*: every mutation bumps it,
 // and the router's flow cache stamps each memoized verdict with the
@@ -87,13 +88,13 @@ class LpmTable {
 };
 
 enum class LpmEngine : std::uint8_t {
-  kBinaryTrie,   ///< one node per prefix bit — simple, slow, memory-hungry
-  kPatricia,     ///< path-compressed trie — the default at small scale
+  kBinaryTrie,   ///< one node per prefix bit — simple, slow, memory-hungry;
+                 ///< the obviously-correct oracle the tests compare against
   kDir24,        ///< DIR-24-8 flat lookup (IPv4 only) — fastest lookup, but a
                  ///< fixed ~64 MiB slab and O(block) updates; clone cost makes
                  ///< it a poor fit for the journal's copy-on-write churn path
-  kTreeBitmap,   ///< stride-4 bitmap-compressed trie — the Internet-scale
-                 ///< choice: lowest bytes/prefix, near-Dir24 lookups at 1M
+  kTreeBitmap,   ///< stride-4 bitmap-compressed trie — the production
+                 ///< engine: low bytes/prefix, near-Dir24 lookups at 1M
                  ///< routes, and memcpy-cheap clone() for churn publishing
                  ///< (see docs/FIB.md for the selection guide)
 };

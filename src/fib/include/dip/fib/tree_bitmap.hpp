@@ -18,7 +18,7 @@
 //
 // Updates rewrite one child run and one result run per affected node
 // (allocate run of n±1, copy, recycle the old run through a per-size free
-// list). That makes inserts slower than Patricia's pointer splice but keeps
+// list). That makes inserts slower than a pointer trie's splice but keeps
 // the arenas compact across flap-heavy workloads without a compaction pass.
 #pragma once
 

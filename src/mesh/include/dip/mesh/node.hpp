@@ -94,7 +94,6 @@ class MeshRouter {
     /// Mesh-wide fault seed; per-face streams mix in the link ordinal.
     std::uint64_t fault_seed = 0;
     bootstrap::CapabilitySet capabilities;
-    core::DispatchStrategy strategy = core::DispatchStrategy::kLoop;
   };
 
   /// `loop` and `registry` must outlive the router; the socket is owned.

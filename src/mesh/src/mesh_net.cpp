@@ -29,7 +29,6 @@ MeshRouter& MeshNet::add_router() {
   cfg.validation = config_.validation;
   cfg.fault_seed = config_.fault_seed;
   cfg.capabilities = config_.capabilities;
-  cfg.strategy = config_.strategy;
   auto router = std::make_unique<MeshRouter>(cfg, loop_, make_socket(), registry_);
   const std::size_t index = routers_.size();
   const FaceId local = router->add_local_face(

@@ -110,7 +110,7 @@ MeshRouter::MeshRouter(Config config, MeshEventLoop& loop,
       socket_(std::move(socket)),
       registry_(std::move(registry)),
       tables_(std::make_shared<ctrl::ControlTables>()),
-      router_(make_env(config_.node_id, tables_), registry_.get(), config_.strategy),
+      router_(make_env(config_.node_id, tables_), registry_.get()),
       journal_(tables_) {
   router_.set_validation(config_.validation);
   recv_buf_.resize(FrameHeader::kWireSize + FrameHeader::kMaxPayload + 64);

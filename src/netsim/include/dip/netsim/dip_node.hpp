@@ -19,9 +19,8 @@ namespace dip::netsim {
 /// A DIP-capable router node: core::Router plumbed into the simulator.
 class DipRouterNode final : public Node {
  public:
-  DipRouterNode(core::RouterEnv env, std::shared_ptr<const core::OpRegistry> registry,
-                core::DispatchStrategy strategy = core::DispatchStrategy::kLoop)
-      : registry_(std::move(registry)), router_(std::move(env), registry_.get(), strategy) {}
+  DipRouterNode(core::RouterEnv env, std::shared_ptr<const core::OpRegistry> registry)
+      : registry_(std::move(registry)), router_(std::move(env), registry_.get()) {}
 
   void on_packet(FaceId face, PacketBytes packet, SimTime now) override;
 

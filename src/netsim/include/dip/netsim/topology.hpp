@@ -28,11 +28,11 @@ struct LinearPath {
 [[nodiscard]] std::unique_ptr<LinearPath> make_linear_path(
     Network& net, std::size_t hops, std::shared_ptr<const core::OpRegistry> registry,
     const std::function<core::RouterEnv(std::size_t)>& make_env,
-    LinkParams link = {},
-    core::DispatchStrategy strategy = core::DispatchStrategy::kLoop);
+    LinkParams link = {});
 
-/// A RouterEnv with Patricia FIBs, a PIT, and node id/secret derived from
-/// `node_id` — the baseline environment most tests want.
+/// A RouterEnv with tree-bitmap FIBs (the production LPM engine), a PIT, and
+/// node id/secret derived from `node_id` — the baseline environment most
+/// tests want.
 [[nodiscard]] core::RouterEnv make_basic_env(std::uint32_t node_id);
 
 /// consumers[0..n) -- hub -- producer.

@@ -7,13 +7,11 @@ namespace dip::netsim {
 
 std::unique_ptr<LinearPath> make_linear_path(
     Network& net, std::size_t hops, std::shared_ptr<const core::OpRegistry> registry,
-    const std::function<core::RouterEnv(std::size_t)>& make_env, LinkParams link,
-    core::DispatchStrategy strategy) {
+    const std::function<core::RouterEnv(std::size_t)>& make_env, LinkParams link) {
   auto path = std::make_unique<LinearPath>();
   net.add_node(path->source);
   for (std::size_t i = 0; i < hops; ++i) {
-    path->routers.push_back(
-        std::make_unique<DipRouterNode>(make_env(i), registry, strategy));
+    path->routers.push_back(std::make_unique<DipRouterNode>(make_env(i), registry));
     net.add_node(*path->routers.back());
   }
   net.add_node(path->destination);
@@ -93,8 +91,8 @@ std::size_t ZipfSampler::sample() {
 core::RouterEnv make_basic_env(std::uint32_t node_id) {
   core::RouterEnv env;
   env.node_id = node_id;
-  env.fib32 = fib::make_lpm<32>(fib::LpmEngine::kPatricia);
-  env.fib128 = fib::make_lpm<128>(fib::LpmEngine::kPatricia);
+  env.fib32 = fib::make_lpm<32>(fib::LpmEngine::kTreeBitmap);
+  env.fib128 = fib::make_lpm<128>(fib::LpmEngine::kTreeBitmap);
   env.xid_table = std::make_unique<fib::XidTable>();
   // Match verdicts are memoized per router; generation stamps keep cached
   // entries coherent with FIB updates, so this is on by default.

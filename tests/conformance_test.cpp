@@ -653,15 +653,14 @@ void run_churn_conformance(fib::LpmEngine lpm_engine) {
   }
 }
 
+// The schedule runs once per LPM engine behind the seed tables: the
+// production tree bitmap and the opt-in DIR-24-8, so each engine's lookup
+// and copy-on-write clone semantics are certified end to end under churn.
 TEST(Conformance, ChurnScheduleStaysConformantAcrossEngines) {
-  run_churn_conformance(fib::LpmEngine::kPatricia);
-}
-
-// Same schedule with the compressed tree-bitmap FIB swapped in via the
-// RouterEnv seed tables (ISSUE 7): certifies the scale engine's lookup and
-// copy-on-write clone semantics end to end under live churn.
-TEST(Conformance, ChurnScheduleStaysConformantOnTreeBitmap) {
-  run_churn_conformance(fib::LpmEngine::kTreeBitmap);
+  for (const auto lpm : {fib::LpmEngine::kTreeBitmap, fib::LpmEngine::kDir24}) {
+    SCOPED_TRACE(static_cast<int>(lpm));
+    run_churn_conformance(lpm);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include "dip/ctrl/journal.hpp"
 #include "dip/ctrl/snapshot.hpp"
 #include "dip/fib/address.hpp"
+#include "dip/fib/tree_bitmap.hpp"
 #include "dip/netsim/topology.hpp"
 
 namespace dip {
@@ -162,7 +163,7 @@ TEST(Journal, FlushPublishesOnlyDirtyTables) {
 }
 
 TEST(Journal, SeedClonesStaticTablesDeeply) {
-  const auto seed_fib = fib::make_lpm<32>(fib::LpmEngine::kPatricia);
+  const auto seed_fib = fib::make_lpm<32>(fib::LpmEngine::kTreeBitmap);
   seed_fib->insert({fib::ipv4_from_u32(0x0A000000), 8}, 1);
 
   auto tables = std::make_shared<ControlTables>();
@@ -208,6 +209,102 @@ TEST(Journal, CopyOnWriteLeavesTheOldSnapshotIntact) {
   tables->domain.quiesce(reader);
   journal.flush();  // reclaim piggybacks on flush
   EXPECT_EQ(tables->domain.backlog(), 0u);
+}
+
+TEST(Journal, UnseededPublishesIpv6XidAndNameRoutes) {
+  auto tables = std::make_shared<ControlTables>();
+  RouteJournal journal(tables);
+  const fib::Prefix<128> net6{fib::parse_ipv6("2001:db8::").value(), 32};
+  const fib::Ipv6Addr in6 = fib::parse_ipv6("2001:db8::1").value();
+  fib::Xid sid;
+  sid.bytes[0] = 0x5A;
+  fib::Xid hid;
+  hid.bytes[0] = 0x4B;
+  const fib::Name name = fib::Name::parse("/org/site");
+  const fib::Name under = fib::Name::parse("/org/site/obj");
+
+  journal.add_route128(net6, 6);
+  journal.add_xid_route(fib::XidType::kSid, sid, 12);
+  journal.set_xid_local(fib::XidType::kHid, hid);
+  journal.add_name_route(name, 21);
+  EXPECT_EQ(journal.flush(), 3u) << "fib128, xid and names dirty; fib32 untouched";
+  EXPECT_EQ(tables->fib32.read(), nullptr);
+
+  // Every table was built from scratch; lookups go through the snapshots.
+  ASSERT_NE(tables->fib128.read(), nullptr);
+  EXPECT_EQ(tables->fib128.read()->lookup(in6), std::uint32_t{6});
+  EXPECT_EQ(tables->fib128.read()->lookup(fib::parse_ipv6("2001:db9::1").value()),
+            std::nullopt);
+  ASSERT_NE(tables->xid.read(), nullptr);
+  EXPECT_EQ(tables->xid.read()->lookup(fib::XidType::kSid, sid), std::uint32_t{12});
+  EXPECT_TRUE(tables->xid.read()->is_local(fib::XidType::kHid, hid));
+  ASSERT_NE(tables->names.read(), nullptr);
+  EXPECT_EQ(tables->names.read()->lookup(under), std::uint32_t{21});
+
+  // Removes stay pending until the next flush, then the clones drop them.
+  journal.remove_route128(net6);
+  journal.remove_xid_route(fib::XidType::kSid, sid);
+  journal.remove_name_route(name);
+  EXPECT_EQ(tables->fib128.read()->lookup(in6), std::uint32_t{6});
+  EXPECT_EQ(journal.flush(), 3u);
+  EXPECT_EQ(tables->fib128.read()->lookup(in6), std::nullopt);
+  EXPECT_EQ(tables->xid.read()->lookup(fib::XidType::kSid, sid), std::nullopt);
+  EXPECT_TRUE(tables->xid.read()->is_local(fib::XidType::kHid, hid))
+      << "local marks carry over into the clone";
+  EXPECT_EQ(tables->names.read()->lookup(under), std::nullopt);
+  EXPECT_EQ(journal.stats().updates_applied, 7u);
+}
+
+// ---------------------------------------------------------------------------
+// The production LPM engine: every table a router gets by default — the
+// netsim baseline environment, a journal built without a seed, and the
+// control plane's published snapshots — is a tree bitmap.
+// ---------------------------------------------------------------------------
+
+template <std::size_t W>
+bool is_tree_bitmap(const fib::LpmTable<W>* table) {
+  return dynamic_cast<const fib::TreeBitmap<W>*>(table) != nullptr;
+}
+
+TEST(DefaultEngine, BasicEnvBuildsTreeBitmaps) {
+  const core::RouterEnv env = netsim::make_basic_env(1);
+  EXPECT_TRUE(is_tree_bitmap(env.fib32.get()));
+  EXPECT_TRUE(is_tree_bitmap(env.fib128.get()));
+}
+
+TEST(DefaultEngine, UnseededJournalBuildsTreeBitmaps) {
+  auto tables = std::make_shared<ControlTables>();
+  RouteJournal journal(tables);
+  journal.add_route32({fib::ipv4_from_u32(0x0A000000), 8}, 1);
+  journal.add_route128({fib::parse_ipv6("2001:db8::").value(), 32}, 2);
+  ASSERT_EQ(journal.flush(), 2u);
+  EXPECT_TRUE(is_tree_bitmap(tables->fib32.read()));
+  EXPECT_TRUE(is_tree_bitmap(tables->fib128.read()));
+}
+
+TEST(DefaultEngine, ControlPlanePublishesTreeBitmaps) {
+  // One node seeded from make_basic_env, one with no static FIBs at all
+  // (its control-built table starts from scratch).
+  netsim::Network net;
+  const auto registry = netsim::make_default_registry();
+  netsim::DipRouterNode seeded(netsim::make_basic_env(1), registry);
+  core::RouterEnv bare_env = netsim::make_basic_env(2);
+  bare_env.fib32.reset();
+  bare_env.fib128.reset();
+  netsim::DipRouterNode bare(std::move(bare_env), registry);
+  net.add_node(seeded);
+  net.add_node(bare);
+  net.connect(seeded, bare);
+
+  ctrl::ControlPlane cp(net);
+  cp.manage(seeded);
+  cp.manage(bare);
+  cp.add_destination({fib::ipv4_from_u32(0x0A000000), 8}, bare.id(), 99);
+  cp.refresh(/*force=*/true);
+
+  EXPECT_TRUE(is_tree_bitmap(seeded.env().control->fib32.read()));
+  EXPECT_TRUE(is_tree_bitmap(seeded.env().control->fib128.read()));
+  EXPECT_TRUE(is_tree_bitmap(bare.env().control->fib32.read()));
 }
 
 // ---------------------------------------------------------------------------
@@ -378,7 +475,7 @@ TEST(ControlPlane, PublishIntervalRateLimitsButConverges) {
 TEST(CtrlRace, ConcurrentChurnAndForwardingIsCleanAndReclaims) {
   auto tables = std::make_shared<ControlTables>();
   RouteJournal journal(tables);
-  const auto seed_fib = fib::make_lpm<32>(fib::LpmEngine::kPatricia);
+  const auto seed_fib = fib::make_lpm<32>(fib::LpmEngine::kTreeBitmap);
   seed_fib->insert({fib::ipv4_from_u32(0x0A000000), 8}, 1);
   journal.seed(seed_fib.get());
 

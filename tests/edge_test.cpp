@@ -8,7 +8,6 @@
 #include "dip/core/registry.hpp"
 #include "dip/core/ip.hpp"
 #include "dip/fib/dir24.hpp"
-#include "dip/fib/patricia.hpp"
 #include "dip/netfence/netfence.hpp"
 #include "dip/netsim/event_loop.hpp"
 #include "dip/netsim/topology.hpp"
@@ -50,28 +49,6 @@ TEST(Edge, EmptyLoopWithFiniteDeadlineAdvancesClock) {
   netsim::EventLoop loop2;
   EXPECT_EQ(loop2.run(), 0u);
   EXPECT_EQ(loop2.now(), 0u);
-}
-
-// ---------- Patricia structural collapse ----------
-
-TEST(Edge, PatriciaMiddleRemovalCollapsesJunctions) {
-  fib::PatriciaTrie<32> trie;
-  // Nested chain: /8 -> /16 -> /24, then remove the middle.
-  trie.insert({fib::ipv4_from_u32(0x0A000000), 8}, 1);
-  trie.insert({fib::ipv4_from_u32(0x0A010000), 16}, 2);
-  trie.insert({fib::ipv4_from_u32(0x0A010100), 24}, 3);
-  EXPECT_EQ(trie.remove({fib::ipv4_from_u32(0x0A010000), 16}).value(), 2u);
-  EXPECT_EQ(trie.size(), 2u);
-  // Both remaining routes still resolve through the collapsed structure.
-  EXPECT_EQ(trie.lookup(fib::ipv4_from_u32(0x0A010105)).value(), 3u);
-  EXPECT_EQ(trie.lookup(fib::ipv4_from_u32(0x0A020000)).value(), 1u);
-  // Removing siblings down to empty must leave a usable trie.
-  trie.remove({fib::ipv4_from_u32(0x0A010100), 24});
-  trie.remove({fib::ipv4_from_u32(0x0A000000), 8});
-  EXPECT_EQ(trie.size(), 0u);
-  EXPECT_FALSE(trie.lookup(fib::ipv4_from_u32(0x0A010105)));
-  trie.insert({fib::ipv4_from_u32(0x0A000000), 8}, 7);
-  EXPECT_EQ(trie.lookup(fib::ipv4_from_u32(0x0A123456)).value(), 7u);
 }
 
 // ---------- DIR-24-8 extension recompute on removal ----------

@@ -1,5 +1,5 @@
 // Algorithm-1 engine tests: dispatch, tag skipping, unsupported-FN policy,
-// resource limits, and loop/unrolled equivalence.
+// resource limits, and per-packet/wave dispatch equivalence.
 #include <gtest/gtest.h>
 
 #include "dip/core/ip.hpp"
@@ -199,11 +199,14 @@ TEST(Router, MaxFnPerPacketEnforced) {
   EXPECT_EQ(result.reason, DropReason::kBudgetExhausted);
 }
 
-// ---------- dispatch-strategy equivalence (ablation A1 correctness leg) ----------
+// ---------- dispatch-shape equivalence ----------
+// A singleton takes the legacy per-packet path; a burst of two takes the
+// wave path. Both must reach the same verdict and the same in-place
+// rewrites at every FN count up to the header limit.
 
 class DispatchEquivalence : public ::testing::TestWithParam<int> {};
 
-TEST_P(DispatchEquivalence, LoopAndUnrolledAgree) {
+TEST_P(DispatchEquivalence, SingletonAndWaveAgree) {
   const int fn_count = GetParam();
 
   auto make_packet = [&] {
@@ -219,19 +222,21 @@ TEST_P(DispatchEquivalence, LoopAndUnrolledAgree) {
     return b.build()->serialize();
   };
 
-  Router loop_router(env_with_route(), registry().get(), DispatchStrategy::kLoop);
-  Router unrolled_router(env_with_route(), registry().get(),
-                         DispatchStrategy::kUnrolled);
+  Router single_router(env_with_route(), registry().get());
+  Router burst_router(env_with_route(), registry().get());
 
   auto p1 = make_packet();
-  auto p2 = make_packet();
-  const auto r1 = loop_router.process(p1, 3, 100);
-  const auto r2 = unrolled_router.process(p2, 3, 100);
+  const auto r1 = single_router.process(p1, 3, 100);
+  std::vector<std::uint8_t> burst[] = {make_packet(), make_packet()};
+  const PacketRef refs[] = {burst[0], burst[1]};
+  const auto rs = burst_router.process_batch(refs, 3, 100);
 
-  EXPECT_EQ(r1.action, r2.action);
-  EXPECT_EQ(r1.reason, r2.reason);
-  EXPECT_EQ(r1.egress, r2.egress);
-  EXPECT_EQ(p1, p2) << "packet mutations must be identical";
+  for (std::size_t i = 0; i < std::size(burst); ++i) {
+    EXPECT_EQ(r1.action, rs[i].action);
+    EXPECT_EQ(r1.reason, rs[i].reason);
+    EXPECT_EQ(r1.egress, rs[i].egress);
+    EXPECT_EQ(p1, burst[i]) << "packet mutations must be identical";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(FnCounts, DispatchEquivalence,
