@@ -31,6 +31,7 @@
 #include "dip/dtn/bundle.hpp"
 #include "dip/dtn/mesh_dtn.hpp"
 #include "dip/dtn/node.hpp"
+#include "dip/mesh/control.hpp"
 #include "dip/mesh/mesh_net.hpp"
 #include "dip/netsim/topology.hpp"
 
@@ -143,12 +144,12 @@ NetsimReport run_netsim_chaos(const Options& opt) {
   const auto fa = net.connect(a, r1).first;
   const auto f12 = net.connect(r1, r2, middle).first;
   const auto [f2b, fb] = net.connect(r2, b);
-  r1.env().fib32->insert(dtn::custody_prefix(100), f12);
-  r2.env().fib32->insert(dtn::custody_prefix(100), f2b);
+  r1.env().fib32->insert(mesh::prefix_of(100), f12);
+  r2.env().fib32->insert(mesh::prefix_of(100), f2b);
 
   dtn::BundleSender::Config sc;
-  sc.self = dtn::custody_addr(99);
-  sc.dst = dtn::custody_addr(100);
+  sc.self = mesh::addr_of(99);
+  sc.dst = mesh::addr_of(100);
   sc.node_id = 99;
   sc.custody_key = key;
   sc.frag_payload = 64;
@@ -162,7 +163,7 @@ NetsimReport run_netsim_chaos(const Options& opt) {
   std::map<std::uint32_t, SimTime> completed_at;
   SimTime rx_now = 0;
   dtn::BundleReceiver::Config bc;
-  bc.self = dtn::custody_addr(100);
+  bc.self = mesh::addr_of(100);
   bc.custody_key = key;
   dtn::BundleReceiver receiver(b, fb, bc,
                                [&](std::uint32_t id, std::vector<std::uint8_t> p) {

@@ -10,11 +10,21 @@
 #            stage-budget compiler + switch-model lane (docs/PISA.md);
 #            `ctest -L dtn` the custody/disruption-tolerance lane
 #            (docs/DTN.md).
+#   --coverage docs check + a --coverage build + `ctest -LE bench-smoke`,
+#            then line coverage per src/ subsystem (gcov, summarised by
+#            scripts/coverage.py). Fails below COVERAGE_FLOOR or when a
+#            shared node-runtime seam has no covered line.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Total src/ line coverage measured by the --coverage lane. Only ever raise
+# it: a change that loses coverage must add the tests that win it back.
+COVERAGE_FLOOR=95.7
+
 FAST=0
+COVERAGE=0
 [ "${1:-}" = "--fast" ] && FAST=1
+[ "${1:-}" = "--coverage" ] && COVERAGE=1
 
 echo "== docs link check =="
 # Markdown link targets (relative ones must exist) and backtick-quoted
@@ -45,6 +55,24 @@ if [ "$fail" -ne 0 ]; then
   exit 1
 fi
 echo "  all links resolve"
+
+if [ "$COVERAGE" -eq 1 ]; then
+  echo "== coverage build (--coverage, Debug) =="
+  cmake -B build-cov -G Ninja -DCMAKE_BUILD_TYPE=Debug \
+    -DCMAKE_CXX_FLAGS="--coverage" >/dev/null
+  cmake --build build-cov
+  find build-cov -name '*.gcda' -delete
+  echo "== tests under coverage =="
+  ctest --test-dir build-cov -LE bench-smoke --output-on-failure
+  echo "== line coverage per src/ subsystem =="
+  python3 scripts/coverage.py build-cov --floor "$COVERAGE_FLOOR" \
+    --seam src/netsim/src/node_runtime.cpp \
+    --seam src/netsim/src/faults.cpp \
+    --seam src/ctrl/include/dip/ctrl/spf.hpp \
+    --seam src/dtn/src/agent.cpp
+  echo "COVERAGE CHECKS PASSED"
+  exit 0
+fi
 
 echo "== release build =="
 # Bench lanes depend on this being a real Release tree (-O3, NDEBUG):

@@ -34,7 +34,8 @@ class AsGraph {
 
   [[nodiscard]] const CapabilitySet* capabilities(AsNumber asn) const;
 
-  /// Shortest AS path (BFS hop count), or empty if unreachable.
+  /// Shortest AS path (hop count; ties take the lowest-id next AS, per the
+  /// shared ctrl::first_hops SPF), or empty if unreachable.
   [[nodiscard]] std::vector<AsNumber> shortest_path(AsNumber from, AsNumber to) const;
 
   /// Capabilities usable along an explicit AS path: the intersection of

@@ -1,7 +1,8 @@
 #include "dip/bootstrap/propagation.hpp"
 
 #include <algorithm>
-#include <deque>
+
+#include "dip/ctrl/spf.hpp"
 
 namespace dip::bootstrap {
 
@@ -25,31 +26,19 @@ const CapabilitySet* AsGraph::capabilities(AsNumber asn) const {
 
 std::vector<AsNumber> AsGraph::shortest_path(AsNumber from, AsNumber to) const {
   if (!nodes_.contains(from) || !nodes_.contains(to)) return {};
-  if (from == to) return {from};
-
-  std::unordered_map<AsNumber, AsNumber> parent;
-  std::deque<AsNumber> queue{from};
-  parent.emplace(from, from);
-
-  while (!queue.empty()) {
-    const AsNumber current = queue.front();
-    queue.pop_front();
-    for (AsNumber next : nodes_.at(current).neighbors) {
-      if (parent.contains(next)) continue;
-      parent.emplace(next, current);
-      if (next == to) {
-        std::vector<AsNumber> path{to};
-        for (AsNumber hop = to; hop != from;) {
-          hop = parent.at(hop);
-          path.push_back(hop);
-        }
-        std::reverse(path.begin(), path.end());
-        return path;
-      }
-      queue.push_back(next);
-    }
+  ctrl::Adjacency adj;
+  for (const auto& [asn, node] : nodes_) {
+    adj[asn].insert(node.neighbors.begin(), node.neighbors.end());
   }
-  return {};
+  // Walk the shared SPF's first hops; each step is one hop closer to `to`.
+  std::vector<AsNumber> path{from};
+  while (path.back() != to) {
+    const auto hops = ctrl::first_hops(adj, path.back());
+    const auto hop = hops.find(to);
+    if (hop == hops.end()) return {};
+    path.push_back(hop->second);
+  }
+  return path;
 }
 
 std::optional<CapabilitySet> AsGraph::path_capabilities(

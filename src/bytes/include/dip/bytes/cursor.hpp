@@ -8,10 +8,34 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <vector>
 
 #include "dip/bytes/expected.hpp"
 
 namespace dip::bytes {
+
+/// Big-endian integer at `p`, for fixed-layout fields whose bounds the
+/// caller already checked.
+template <typename T>
+[[nodiscard]] constexpr T load_be(const std::uint8_t* p) noexcept {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) v = static_cast<T>((v << 8) | p[i]);
+  return v;
+}
+
+/// Store `v` big-endian at `p` (bounds checked by the caller).
+template <typename T>
+constexpr void store_be(std::uint8_t* p, T v) noexcept {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    p[i] = static_cast<std::uint8_t>(v >> (8 * (sizeof(T) - 1 - i)));
+  }
+}
+
+/// Append `v` big-endian to a growing buffer.
+template <typename T>
+void append_be(std::vector<std::uint8_t>& out, T v) {
+  for (std::size_t i = sizeof(T); i-- > 0;) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
 
 /// Bounds-checked big-endian reader over a borrowed byte span.
 class Reader {

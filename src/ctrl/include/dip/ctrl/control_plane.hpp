@@ -9,7 +9,9 @@
 //
 // Scope deliberately matches the experiments: destinations are IPv4
 // prefixes anchored at a node (the paper's eval traffic), link metric is
-// hop count, tie-breaks are by node id so the computation is deterministic.
+// hop count, tie-breaks are by node id so the computation is deterministic
+// (the shared ctrl::first_hops SPF, run once per managed node; among
+// parallel links the lowest usable face carries the route).
 // The machinery underneath (journal, snapshots, QSBR) is protocol-agnostic.
 //
 // Convergence accounting: when a poll observes a link transition, the

@@ -1,8 +1,8 @@
 #include "dip/ctrl/control_plane.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <limits>
+
+#include "dip/ctrl/spf.hpp"
 
 namespace dip::ctrl {
 
@@ -140,62 +140,33 @@ void ControlPlane::refresh(bool force) {
 void ControlPlane::recompute() {
   ++stats_.recomputes;
 
-  // Adjacency over usable managed-to-managed links, neighbors ascending by
-  // node id (deterministic tie-breaks).
-  std::map<netsim::NodeId, std::vector<std::pair<netsim::NodeId, netsim::FaceId>>> adj;
+  // The SPF adjacency over usable managed-to-managed links, and per
+  // (node, neighbour) the lowest usable face (link_state_ iterates faces in
+  // ascending order, so the first one seen wins among parallel links).
+  Adjacency adj;
+  std::map<std::pair<netsim::NodeId, netsim::NodeId>, netsim::FaceId> face_to;
   for (const auto& [key, usable] : link_state_) {
     if (!usable) continue;
     const auto peer = net_.peer_of(*managed_.at(key.first).node, key.second);
     if (!peer) continue;
-    adj[key.first].emplace_back(peer->first, key.second);
+    adj[key.first].insert(peer->first);
+    face_to.emplace(std::pair{key.first, peer->first}, key.second);
   }
-  for (auto& [id, neighbors] : adj) std::sort(neighbors.begin(), neighbors.end());
 
-  // Desired route set per node across all destinations.
+  // Desired route set per node across all destinations: one SPF per
+  // managed node; unreachable anchors get no route (blackhole).
   std::map<netsim::NodeId, std::map<fib::Prefix<32>, fib::NextHop>> desired;
-  constexpr std::size_t kUnreached = std::numeric_limits<std::size_t>::max();
-  for (const Destination& dest : destinations_) {
-    if (!managed_.contains(dest.anchor)) continue;
-    // BFS from the anchor (hop-count metric).
-    std::map<netsim::NodeId, std::size_t> dist;
-    std::deque<netsim::NodeId> queue;
-    dist[dest.anchor] = 0;
-    queue.push_back(dest.anchor);
-    while (!queue.empty()) {
-      const netsim::NodeId at = queue.front();
-      queue.pop_front();
-      const auto it = adj.find(at);
-      if (it == adj.end()) continue;
-      for (const auto& [nb, face] : it->second) {
-        if (dist.contains(nb)) continue;
-        dist[nb] = dist[at] + 1;
-        queue.push_back(nb);
-      }
-    }
-    for (const auto& [id, m] : managed_) {
+  for (const auto& [id, m] : managed_) {
+    const auto hops = first_hops(adj, id);
+    auto& want = desired[id];
+    for (const Destination& dest : destinations_) {
+      if (!managed_.contains(dest.anchor)) continue;
       if (id == dest.anchor) {
-        desired[id][dest.prefix] = dest.delivery_face;
+        want[dest.prefix] = dest.delivery_face;
         continue;
       }
-      const auto dit = dist.find(id);
-      if (dit == dist.end()) continue;  // unreachable: no route (blackhole)
-      // Next hop: the lowest-id usable neighbor strictly closer to the
-      // anchor; the route's next hop is this node's face toward it.
-      netsim::NodeId best_nb = 0;
-      netsim::FaceId best_face = 0;
-      std::size_t best = kUnreached;
-      const auto ait = adj.find(id);
-      if (ait == adj.end()) continue;
-      for (const auto& [nb, face] : ait->second) {
-        const auto nit = dist.find(nb);
-        if (nit == dist.end() || nit->second + 1 != dit->second) continue;
-        if (best == kUnreached) {
-          best_nb = nb;
-          best_face = face;
-          best = nit->second;
-        }
-      }
-      if (best != kUnreached) desired[id][dest.prefix] = best_face;
+      const auto hop = hops.find(dest.anchor);
+      if (hop != hops.end()) want[dest.prefix] = face_to.at({id, hop->second});
     }
   }
 

@@ -26,15 +26,15 @@
 //
 // A custody-capable router (RouterEnv::accept_custody) that sees a valid
 // requested tag *accepts*: it stamps itself as custodian, extends the chain
-// digest, re-MACs, and — at the node-wrapper layer — commits the forwarded
-// bytes into its CustodyStore and ACKs the previous custodian through the
-// §2.4 error-notify seam (back out the ingress face). Non-DTN routers skip
+// digest and re-MACs; the node's CustodyAgent (dtn/agent.hpp) then commits
+// the forwarded bytes and ACKs the previous custodian. Non-DTN routers skip
 // the FN untouched (requires_full_path = false): custody is an overlay over
 // whichever nodes opt in.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "dip/core/builder.hpp"
 #include "dip/core/op_module.hpp"
@@ -135,6 +135,15 @@ void add_frag_fn(core::HeaderBuilder& builder, const FragInfo& frag);
     const fib::Ipv4Addr& dst, const fib::Ipv4Addr& src, const CustodyTag& tag,
     const FragInfo& frag, const crypto::Block& key,
     crypto::MacKind kind = crypto::MacKind::kEm2, std::uint8_t hop_limit = 64);
+
+/// A bundle fragment as its first custodian `custodian` mints it: the
+/// dip32+custody header with a requested tag whose chain starts at
+/// `custodian`, then the payload slice. Empty if the header cannot build.
+[[nodiscard]] std::vector<std::uint8_t> make_fragment_packet(
+    const fib::Ipv4Addr& dst, const fib::Ipv4Addr& src, std::uint32_t custodian,
+    const FragInfo& frag, std::span<const std::uint8_t> payload,
+    const crypto::Block& key, crypto::MacKind kind = crypto::MacKind::kEm2,
+    std::uint8_t hop_limit = 64);
 
 /// Build a custody-ACK packet for fragment `frag` of `tag`'s bundle,
 /// addressed to `dst` (the previous custodian) from `acker`.

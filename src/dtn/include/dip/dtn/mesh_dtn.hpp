@@ -1,24 +1,14 @@
-// MeshCustodyFleet — the custody overlay over a scale-out UDP mesh.
-//
-// The torus-soak counterpart of CustodyRouterNode: every MeshRouter in a
-// MeshNet becomes a custody-capable node. The fleet
-//   * extends the module registry with CustodyOp/BundleFragOp (pass
-//     make_registry() into MeshConfig.registry before building the mesh);
-//   * hangs one bounded CustodyStore off each router's RouterEnv;
-//   * observes forwarded bundles through MeshRouter's ForwardTap: a
-//     forwarded packet whose rewritten tag names this router as custodian is
-//     committed to the store, a retry timer is armed on the MeshEventLoop,
-//     and a custody ACK is routed to the previous custodian (the prev field
-//     of the rewritten tag);
-//   * terminates bundles at their destination router via the MeshNet
-//     delivery handler: fragments are deduplicated, ACKed, and reassembled;
-//     custody ACKs addressed to this router release its store.
-//
-// Custody hops ride the mesh's own routed fabric — ACKs are ordinary
-// dip32+custody packets forwarded by SPF routes — so blackouts, failed
-// links, and reroutes exercise exactly the wire path the ledger audits.
-// Retransmissions replay stored bytes through MeshRouter::transmit (the
-// ledgered egress path) paced by the DPS-priced RetxScheduler.
+// MeshCustodyFleet — the custody overlay over a scale-out UDP mesh: the
+// torus-soak counterpart of CustodyRouterNode. Every MeshRouter in a MeshNet
+// gets its own CustodyAgent (dtn/agent.hpp) as its ForwardTap veto, so
+// admission and refusal follow the same rule as in netsim. The fleet
+// supplies the mesh primitives — retries replay stored bytes through
+// MeshRouter::transmit (the ledgered egress path) off MeshEventLoop timers,
+// and an ACK leaves as a deferred inject that SPF routes carry to the
+// previous custodian — and terminates bundles at their destination router
+// via the MeshNet delivery handler (dedup, ACK, reassembly; ACKs addressed
+// to the router release its store). Pass make_registry() into
+// MeshConfig.registry before building the mesh.
 #pragma once
 
 #include <cstdint>
@@ -27,21 +17,15 @@
 #include <set>
 #include <vector>
 
-#include "dip/dtn/custody.hpp"
-#include "dip/dtn/retx_sched.hpp"
-#include "dip/dtn/store.hpp"
-#include "dip/host/retry.hpp"
+#include "dip/dtn/agent.hpp"
 #include "dip/mesh/mesh_net.hpp"
 
 namespace dip::dtn {
 
 class MeshCustodyFleet {
  public:
-  struct Config {
+  struct Config : CustodyAgent::Config {
     crypto::Block custody_key{};
-    CustodyStore::Limits limits{};
-    host::RetryPolicy retry{};
-    RetxScheduler::Config retx{};
     std::size_t frag_payload = 256;  ///< payload bytes per fragment
   };
 
@@ -58,7 +42,9 @@ class MeshCustodyFleet {
   /// Fragment `payload` and inject it at router `src` addressed to router
   /// `dst` (mesh::addr_of identities). The source router is the initial
   /// custodian: its store holds every fragment until the next custodian (or
-  /// the destination) ACKs. Returns the bundle id.
+  /// the destination) ACKs. A fragment the source's store refuses is
+  /// offered again on the retry schedule until it commits or the store's
+  /// retry budget is spent. Returns the bundle id.
   std::uint32_t send(std::size_t src, std::size_t dst,
                      std::span<const std::uint8_t> payload);
 
@@ -70,8 +56,9 @@ class MeshCustodyFleet {
   [[nodiscard]] std::size_t bundles_completed() const noexcept { return rx_complete_.size(); }
   [[nodiscard]] std::uint64_t fragments_delivered() const noexcept { return fragments_delivered_; }
   [[nodiscard]] std::uint64_t duplicate_fragments() const noexcept { return duplicates_; }
-  [[nodiscard]] std::uint64_t acks_sent() const noexcept { return acks_sent_; }
-  [[nodiscard]] std::uint64_t custody_drops() const noexcept { return custody_drops_; }
+  /// Summed over every router's agent.
+  [[nodiscard]] std::uint64_t acks_sent() const noexcept;
+  [[nodiscard]] std::uint64_t custody_drops() const noexcept;
 
   /// (send time, completion time) in loop-clock ns; completion 0 until the
   /// last fragment assembled. Recovery latency = completed - sent.
@@ -79,7 +66,7 @@ class MeshCustodyFleet {
       std::uint32_t bundle) const;
 
   // ---- custody-store status ---------------------------------------------
-  [[nodiscard]] const CustodyStore& store(std::size_t i) const { return *nodes_.at(i).store; }
+  [[nodiscard]] const CustodyStore& store(std::size_t i) const { return agents_.at(i)->store(); }
   /// True when every store drained — each committed fragment was ACKed by
   /// the next custodian or the destination (the 100%-recovery audit).
   [[nodiscard]] bool stores_empty() const;
@@ -91,34 +78,24 @@ class MeshCustodyFleet {
   void write_stats(telemetry::StatsWriter& w) const;
 
  private:
-  struct NodeState {
-    std::shared_ptr<CustodyStore> store;
-    RetxScheduler retx;
-  };
   struct RxBundle {
     std::uint16_t total = 0;
-    std::set<std::uint16_t> got;
+    std::uint16_t got = 0;  ///< distinct fragments (rx_frags_ dedups)
   };
 
   [[nodiscard]] std::uint32_t node_id(std::size_t i) const noexcept {
     return static_cast<std::uint32_t>(i + 1);  // MeshNet's id = index + 1
   }
 
-  void on_forward(std::size_t i, mesh::FaceId ingress, mesh::FaceId egress,
-                  std::span<const std::uint8_t> packet);
   void on_delivery(std::size_t i, std::span<const std::uint8_t> packet,
                    std::uint64_t now);
-  /// Route a custody ACK for (`tag`, `frag`) from router `i` to node
-  /// `prev_custodian`, via a deferred inject (never re-enters the router
-  /// from inside its own verdict path).
-  void ack_from(std::size_t i, CustodyTag tag, FragInfo frag,
-                std::uint32_t prev_custodian);
-  void arm_retry(std::size_t i, std::uint64_t key);
-  void on_retry(std::size_t i, std::uint64_t key, std::uint32_t expected_attempts);
+  /// Inject a fragment at router `src`; offer it again later if the
+  /// source store refused it.
+  void offer(std::size_t src, mesh::PacketBytes packet, std::uint32_t attempt);
 
   mesh::MeshNet& mesh_;
   Config config_;
-  std::vector<NodeState> nodes_;
+  std::vector<std::unique_ptr<CustodyAgent>> agents_;  ///< one per router
   std::map<std::uint32_t, RxBundle> rx_pending_;
   std::set<std::uint32_t> rx_complete_;
   std::set<std::uint64_t> rx_frags_;  ///< delivered fragment keys (dedup)
@@ -126,8 +103,6 @@ class MeshCustodyFleet {
   std::uint32_t next_bundle_ = 1;
   std::uint64_t fragments_delivered_ = 0;
   std::uint64_t duplicates_ = 0;
-  std::uint64_t acks_sent_ = 0;
-  std::uint64_t custody_drops_ = 0;  ///< store refusals under pressure
 };
 
 }  // namespace dip::dtn

@@ -1,55 +1,27 @@
-// CustodyRouterNode — a custody-capable DIP router in the simulator.
-//
-// netsim::DipRouterNode's verdict handling plus the store-and-forward
-// wrapper around the F_custody op module:
-//
-//   * pre-process: custody ACKs addressed to this node release the store
-//     entry they name (the retry timer finds the entry gone and stops);
-//   * post-process: when the op accepted custody (the tag's custodian field
-//     now names this node), the *forwarded* bytes are committed into the
-//     bounded CustodyStore, a retry timer is armed on the simulation loop,
-//     and a custody ACK is returned to the previous custodian back out the
-//     ingress face — the same reverse-path seam §2.4's FN-unsupported
-//     notifications use;
-//   * store refusal (caps) drops the packet instead of forwarding it:
-//     custody was never taken, no ACK is sent, and the previous custodian
-//     keeps retrying — which is what makes "100% of committed bundles
-//     recover" robust under store pressure;
-//   * retransmissions are paced by RetxScheduler (qos::EdgeLabeler): the
-//     recovery band drains at a fraction of the observed first-transmission
-//     rate, never starving foreground traffic.
+// CustodyRouterNode — a custody-capable DIP router in the simulator:
+// netsim's NodeRuntime with a CustodyAgent (dtn/agent.hpp) as its forward
+// veto. The wrapper supplies the netsim primitives: custody ACKs addressed
+// to this node terminate before processing (the FIB has no route to the
+// node's own address; a tag that fails its MAC counts as kAuthFailed), an
+// ACK this node owes leaves back out the ingress face (the reverse-path
+// seam §2.4's notifications use), and retries run on the simulation loop.
 #pragma once
 
-#include <array>
 #include <memory>
 
 #include "dip/core/registry.hpp"
-#include "dip/core/router.hpp"
-#include "dip/dtn/custody.hpp"
-#include "dip/dtn/retx_sched.hpp"
-#include "dip/dtn/store.hpp"
-#include "dip/host/retry.hpp"
+#include "dip/dtn/agent.hpp"
 #include "dip/netsim/network.hpp"
+#include "dip/netsim/node_runtime.hpp"
 
 namespace dip::dtn {
 
-/// The DTN overlay's address plan: node id -> routable /24 host address
-/// (10.<node>.1) — the same formula the mesh uses, so custody ACKs route in
-/// either harness once 10.<node>/24 is in the FIB.
-[[nodiscard]] fib::Ipv4Addr custody_addr(std::uint32_t node) noexcept;
-/// The /24 prefix covering custody_addr(node).
-[[nodiscard]] fib::Prefix<32> custody_prefix(std::uint32_t node) noexcept;
-
 class CustodyRouterNode final : public netsim::Node {
  public:
-  struct Config {
-    CustodyStore::Limits limits{};
-    host::RetryPolicy retry{};  ///< custody retransmission schedule
-    RetxScheduler::Config retx{};
-  };
+  using Config = CustodyAgent::Config;
 
   /// `env` should carry custody_key/accept_custody and the node's identity;
-  /// the node installs its CustodyStore into env.custody_store.
+  /// the agent installs its CustodyStore into env.custody_store.
   CustodyRouterNode(core::RouterEnv env, std::shared_ptr<const core::OpRegistry> registry,
                     Config config);
   CustodyRouterNode(core::RouterEnv env, std::shared_ptr<const core::OpRegistry> registry)
@@ -57,39 +29,26 @@ class CustodyRouterNode final : public netsim::Node {
 
   void on_packet(netsim::FaceId face, netsim::PacketBytes packet, SimTime now) override;
 
-  [[nodiscard]] core::Router& router() noexcept { return router_; }
-  [[nodiscard]] core::RouterEnv& env() noexcept { return router_.env(); }
-  [[nodiscard]] const CustodyStore& store() const noexcept { return *store_; }
-  [[nodiscard]] fib::Ipv4Addr address() const noexcept {
-    return custody_addr(router_.env().node_id);
-  }
+  [[nodiscard]] core::Router& router() noexcept { return runtime_.router(); }
+  [[nodiscard]] core::RouterEnv& env() noexcept { return runtime_.env(); }
+  [[nodiscard]] const CustodyStore& store() const noexcept { return agent_.store(); }
+  [[nodiscard]] fib::Ipv4Addr address() const noexcept;
 
-  [[nodiscard]] std::uint64_t acks_sent() const noexcept { return acks_sent_; }
-  [[nodiscard]] std::uint64_t custody_drops() const noexcept { return custody_drops_; }
+  [[nodiscard]] std::uint64_t acks_sent() const noexcept { return agent_.acks_sent(); }
+  [[nodiscard]] std::uint64_t custody_drops() const noexcept {
+    return agent_.custody_drops();
+  }
   [[nodiscard]] std::uint64_t drops(core::DropReason reason) const {
-    return drop_counts_[static_cast<std::size_t>(reason) % drop_counts_.size()];
+    return runtime_.drops()[reason];
   }
 
-  /// `dip_dtn_*` store series plus the router counters, node-labelled.
+  /// NodeRuntime::write_stats plus the `dip_dtn_*` store and agent series,
+  /// node-labelled.
   void write_stats(telemetry::StatsWriter& w) const;
 
  private:
-  void apply_verdict(netsim::FaceId face, netsim::PacketBytes& packet,
-                     const core::ProcessResult& result);
-  void handle_ack(const CustodyTag& tag, const FragInfo& frag);
-  void send_ack(const CustodyTag& accepted, const FragInfo& frag,
-                std::uint32_t prev_custodian, netsim::FaceId ingress);
-  void arm_retry(std::uint64_t key);
-  void on_retry(std::uint64_t key, std::uint32_t expected_attempts);
-
-  std::shared_ptr<const core::OpRegistry> registry_;
-  Config config_;
-  std::shared_ptr<CustodyStore> store_;  ///< built before router_: env hooks it
-  RetxScheduler retx_;
-  core::Router router_;
-  std::array<std::uint64_t, 16> drop_counts_{};
-  std::uint64_t acks_sent_ = 0;
-  std::uint64_t custody_drops_ = 0;  ///< refused admissions + duplicate copies
+  netsim::NodeRuntime runtime_;
+  CustodyAgent agent_;
 };
 
 }  // namespace dip::dtn

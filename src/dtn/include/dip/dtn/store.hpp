@@ -15,8 +15,7 @@
 //   * release() on a custody ACK; duplicate ACKs (chaos links duplicate
 //     packets) are counted and ignored.
 //   * retry bookkeeping (attempts, timer ids) lives in the entry; the
-//     actual timers belong to the owning node wrapper's event loop
-//     (netsim::EventLoop or mesh::MeshEventLoop).
+//     owning CustodyAgent runs the timers on its substrate's event loop.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +54,6 @@ class CustodyStore {
     std::uint32_t attempts = 0;        ///< retransmissions so far
     std::uint64_t committed_at = 0;
     std::uint64_t timer_id = 0;  ///< owner-managed retry timer handle
-    std::uint64_t ingress_hint = 0;  ///< owner use (ACK path, diagnostics)
   };
 
   CustodyStore() : CustodyStore(Limits{}) {}

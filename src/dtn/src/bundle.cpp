@@ -1,44 +1,9 @@
 #include "dip/dtn/bundle.hpp"
 
-#include "dip/dtn/node.hpp"
+#include "dip/dtn/agent.hpp"
+#include "dip/mesh/control.hpp"
 
 namespace dip::dtn {
-
-namespace {
-
-/// Parsed custody-plane view of an incoming packet: raw tag field (for MAC
-/// verification), fragment metadata, and the dip32 destination.
-struct CustodyView {
-  core::DipHeader header;
-  std::span<const std::uint8_t> tag_field;  ///< aliases header.locations
-  FragInfo frag;
-  std::optional<fib::Ipv4Addr> dst;
-};
-
-std::optional<CustodyView> parse_custody(std::span<const std::uint8_t> packet,
-                                         core::DipHeader& storage) {
-  auto parsed = core::DipHeader::parse(packet);
-  if (!parsed) return std::nullopt;
-  storage = std::move(*parsed);
-  const auto cf = find_custody_field(storage.fns);
-  if (!cf) return std::nullopt;
-  const std::size_t at = cf->bit_offset / 8;
-  if (storage.locations.size() < at + kCustodyTagBytes) return std::nullopt;
-  CustodyView view;
-  view.tag_field =
-      std::span<const std::uint8_t>(storage.locations).subspan(at, kCustodyTagBytes);
-  if (const auto ff = find_frag_field(storage.fns)) {
-    const std::size_t fat = ff->bit_offset / 8;
-    if (storage.locations.size() >= fat + kFragBytes) {
-      view.frag = FragInfo::read(
-          std::span<const std::uint8_t>(storage.locations).subspan(fat, kFragBytes));
-    }
-  }
-  view.dst = dip32_destination(storage);
-  return view;
-}
-
-}  // namespace
 
 std::uint32_t BundleSender::send(std::span<const std::uint8_t> payload) {
   const std::uint32_t bundle = next_bundle_++;
@@ -65,7 +30,10 @@ std::uint32_t BundleSender::send(std::span<const std::uint8_t> payload) {
     std::vector<std::uint8_t> frag_payload = flight.payload;
     flight.epoch = flight.sender->send(
         [this, frag, frag_payload](std::uint32_t) {
-          return build_packet(frag, frag_payload);
+          // The sender is the bundle's initial custodian.
+          return make_fragment_packet(config_.dst, config_.self, config_.node_id, frag,
+                                      frag_payload, config_.custody_key, config_.mac,
+                                      config_.hop_limit);
         },
         [this, key] {
           auto it = in_flight_.find(key);
@@ -79,32 +47,13 @@ std::uint32_t BundleSender::send(std::span<const std::uint8_t> payload) {
   return bundle;
 }
 
-netsim::PacketBytes BundleSender::build_packet(
-    const FragInfo& frag, std::span<const std::uint8_t> payload) const {
-  CustodyTag tag;
-  tag.flags = kCustodyRequest;
-  tag.chain_len = 0;
-  tag.bundle_id = frag.bundle_id;
-  tag.custodian = config_.node_id;  // the sender is the initial custodian
-  tag.chain_digest = chain_mix(0, config_.node_id);
-  const auto header =
-      make_dip32_custody_header(config_.dst, config_.self, tag, frag,
-                                config_.custody_key, config_.mac, config_.hop_limit);
-  if (!header) return {};
-  netsim::PacketBytes packet = header->serialize();
-  packet.insert(packet.end(), payload.begin(), payload.end());
-  return packet;
-}
-
 bool BundleSender::on_packet(std::span<const std::uint8_t> packet) {
-  core::DipHeader storage;
-  const auto view = parse_custody(packet, storage);
-  if (!view) return false;
-  const CustodyTag raw = CustodyTag::read(view->tag_field);
-  if (!raw.is_ack()) return false;
-  if (!view->dst || !(*view->dst == config_.self)) return false;
+  const auto view = parse_custody_view(packet);
+  if (!view || !view->tag.is_ack()) return false;
+  const auto dst = dip32_destination(view->header);
+  if (!dst || !(*dst == config_.self)) return false;
   const auto tag =
-      verify_custody_tag(view->tag_field, config_.custody_key, config_.mac);
+      verify_custody_tag(view->tag_field(), config_.custody_key, config_.mac);
   if (!tag) return true;  // forged/corrupt ACK: consumed, ignored
 
   const std::uint64_t key = frag_key(tag->bundle_id, view->frag.index);
@@ -126,16 +75,14 @@ std::uint64_t BundleSender::retransmissions() const noexcept {
 }
 
 bool BundleReceiver::on_packet(std::span<const std::uint8_t> packet) {
-  core::DipHeader storage;
-  const auto view = parse_custody(packet, storage);
-  if (!view) return false;
-  const CustodyTag raw = CustodyTag::read(view->tag_field);
-  if (raw.is_ack()) return false;  // custody ACKs are sender business
-  if (!view->dst || !(*view->dst == config_.self)) return false;
+  const auto view = parse_custody_view(packet);
+  if (!view || view->tag.is_ack()) return false;  // custody ACKs are sender business
+  const auto dst = dip32_destination(view->header);
+  if (!dst || !(*dst == config_.self)) return false;
 
   ++fragments_;
   const auto tag =
-      verify_custody_tag(view->tag_field, config_.custody_key, config_.mac);
+      verify_custody_tag(view->tag_field(), config_.custody_key, config_.mac);
   if (!tag) {
     // A fragment whose custody chain fails the MAC is never ACKed: the
     // custodian keeps it and retries, eventually with a clean copy.
@@ -179,7 +126,7 @@ bool BundleReceiver::on_packet(std::span<const std::uint8_t> packet) {
     return true;
   }
 
-  const std::size_t header_size = storage.wire_size();
+  const std::size_t header_size = view->header.wire_size();
   bundle.frags.emplace(frag.index,
                        std::vector<std::uint8_t>(packet.begin() +
                                                      static_cast<std::ptrdiff_t>(
@@ -202,7 +149,7 @@ bool BundleReceiver::on_packet(std::span<const std::uint8_t> packet) {
 
 void BundleReceiver::send_ack(const CustodyTag& tag, const FragInfo& frag) {
   const auto ack =
-      make_custody_ack_header(custody_addr(tag.custodian), config_.self, tag, frag,
+      make_custody_ack_header(mesh::addr_of(tag.custodian), config_.self, tag, frag,
                               config_.custody_key, config_.mac);
   if (!ack) return;
   node_.send(face_, ack->serialize());

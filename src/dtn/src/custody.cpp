@@ -2,24 +2,9 @@
 
 #include <algorithm>
 
+#include "dip/bytes/cursor.hpp"
+
 namespace dip::dtn {
-
-namespace {
-
-void put_be32(std::span<std::uint8_t> out, std::size_t at, std::uint32_t v) noexcept {
-  out[at] = static_cast<std::uint8_t>(v >> 24);
-  out[at + 1] = static_cast<std::uint8_t>(v >> 16);
-  out[at + 2] = static_cast<std::uint8_t>(v >> 8);
-  out[at + 3] = static_cast<std::uint8_t>(v);
-}
-
-std::uint32_t get_be32(std::span<const std::uint8_t> in, std::size_t at) noexcept {
-  return (static_cast<std::uint32_t>(in[at]) << 24) |
-         (static_cast<std::uint32_t>(in[at + 1]) << 16) |
-         (static_cast<std::uint32_t>(in[at + 2]) << 8) | in[at + 3];
-}
-
-}  // namespace
 
 CustodyTag CustodyTag::read(std::span<const std::uint8_t> field) noexcept {
   CustodyTag tag;
@@ -27,9 +12,9 @@ CustodyTag CustodyTag::read(std::span<const std::uint8_t> field) noexcept {
   tag.flags = field[0];
   tag.chain_len = field[1];
   tag.prev_custodian = static_cast<std::uint16_t>((field[2] << 8) | field[3]);
-  tag.bundle_id = get_be32(field, 4);
-  tag.custodian = get_be32(field, 8);
-  tag.chain_digest = get_be32(field, 12);
+  tag.bundle_id = bytes::load_be<std::uint32_t>(field.data() + 4);
+  tag.custodian = bytes::load_be<std::uint32_t>(field.data() + 8);
+  tag.chain_digest = bytes::load_be<std::uint32_t>(field.data() + 12);
   tag.mac = crypto::block_from(field.subspan(16, 16));
   return tag;
 }
@@ -40,9 +25,9 @@ void CustodyTag::write(std::span<std::uint8_t> field) const noexcept {
   field[1] = chain_len;
   field[2] = static_cast<std::uint8_t>(prev_custodian >> 8);
   field[3] = static_cast<std::uint8_t>(prev_custodian);
-  put_be32(field, 4, bundle_id);
-  put_be32(field, 8, custodian);
-  put_be32(field, 12, chain_digest);
+  bytes::store_be<std::uint32_t>(field.data() + 4, bundle_id);
+  bytes::store_be<std::uint32_t>(field.data() + 8, custodian);
+  bytes::store_be<std::uint32_t>(field.data() + 12, chain_digest);
   crypto::block_to(mac, field.subspan(16, 16));
 }
 
@@ -56,7 +41,7 @@ FragInfo FragInfo::read(std::span<const std::uint8_t> field) noexcept {
   if (field.size() < kFragBytes) return f;
   f.index = static_cast<std::uint16_t>((field[0] << 8) | field[1]);
   f.total = static_cast<std::uint16_t>((field[2] << 8) | field[3]);
-  f.bundle_id = get_be32(field, 4);
+  f.bundle_id = bytes::load_be<std::uint32_t>(field.data() + 4);
   return f;
 }
 
@@ -66,7 +51,7 @@ void FragInfo::write(std::span<std::uint8_t> field) const noexcept {
   field[1] = static_cast<std::uint8_t>(index);
   field[2] = static_cast<std::uint8_t>(total >> 8);
   field[3] = static_cast<std::uint8_t>(total);
-  put_be32(field, 4, bundle_id);
+  bytes::store_be<std::uint32_t>(field.data() + 4, bundle_id);
 }
 
 bytes::Status CustodyOp::execute(core::OpContext& ctx) {
@@ -79,21 +64,20 @@ bytes::Status CustodyOp::execute(core::OpContext& ctx) {
   // all mirrors the other half.
   if (!ctx.env->accept_custody) return {};
 
-  CustodyTag tag = CustodyTag::read(field);
-  const crypto::Block expected =
-      CustodyTag::compute_mac(field, ctx.env->custody_key, ctx.env->mac_kind);
-  if (!crypto::block_equal_ct(expected, tag.mac)) {
+  auto verified = verify_custody_tag(field, ctx.env->custody_key, ctx.env->mac_kind);
+  if (!verified) {
     // A forged/corrupted custody chain is an authentication failure, not a
     // structural one: same taxonomy as a bad OPT tag.
     ctx.result->drop(core::DropReason::kAuthFailed);
     return {};
   }
+  CustodyTag& tag = *verified;
   if (tag.is_ack() || !tag.requested()) return {};  // nothing to accept
 
   // Accept custody: stamp ourselves as custodian and extend the chain. The
-  // node wrapper observes the rewrite (custodian == node_id) and commits
-  // the forwarded bytes into its CustodyStore + ACKs the previous holder,
-  // whose identity survives in the prev field of the rewritten tag.
+  // node's CustodyAgent observes the rewrite (custodian == node_id) and
+  // commits the forwarded bytes + ACKs the previous holder, whose identity
+  // survives in the prev field of the rewritten tag.
   tag.prev_custodian = static_cast<std::uint16_t>(tag.custodian);
   tag.custodian = ctx.env->node_id;
   tag.chain_len = static_cast<std::uint8_t>(tag.chain_len + 1);
@@ -148,6 +132,23 @@ bytes::Result<core::DipHeader> make_dip32_custody_header(
   return b.build();
 }
 
+std::vector<std::uint8_t> make_fragment_packet(
+    const fib::Ipv4Addr& dst, const fib::Ipv4Addr& src, std::uint32_t custodian,
+    const FragInfo& frag, std::span<const std::uint8_t> payload,
+    const crypto::Block& key, crypto::MacKind kind, std::uint8_t hop_limit) {
+  CustodyTag tag;
+  tag.flags = kCustodyRequest;
+  tag.prev_custodian = static_cast<std::uint16_t>(custodian);
+  tag.bundle_id = frag.bundle_id;
+  tag.custodian = custodian;
+  tag.chain_digest = chain_mix(0, custodian);
+  const auto header = make_dip32_custody_header(dst, src, tag, frag, key, kind, hop_limit);
+  if (!header) return {};
+  std::vector<std::uint8_t> packet = header->serialize();
+  packet.insert(packet.end(), payload.begin(), payload.end());
+  return packet;
+}
+
 bytes::Result<core::DipHeader> make_custody_ack_header(
     const fib::Ipv4Addr& dst, const fib::Ipv4Addr& src, const CustodyTag& accepted,
     const FragInfo& frag, const crypto::Block& key, crypto::MacKind kind) {
@@ -196,7 +197,7 @@ std::optional<fib::Ipv4Addr> dip32_destination(const core::DipHeader& header) no
   if (!range) return std::nullopt;
   const std::size_t at = range->bit_offset / 8;
   if (header.locations.size() < at + 4) return std::nullopt;
-  return fib::ipv4_from_u32(get_be32(header.locations, at));
+  return fib::ipv4_from_u32(bytes::load_be<std::uint32_t>(header.locations.data() + at));
 }
 
 }  // namespace dip::dtn

@@ -5,40 +5,6 @@
 
 namespace dip::dtn {
 
-namespace {
-
-/// Custody-plane view of a packet: tag field span, fragment info.
-struct View {
-  core::DipHeader header;
-  CustodyTag tag;
-  FragInfo frag;
-  std::span<const std::uint8_t> tag_field;
-};
-
-std::optional<View> parse_view(std::span<const std::uint8_t> packet) {
-  auto parsed = core::DipHeader::parse(packet);
-  if (!parsed) return std::nullopt;
-  View v;
-  v.header = std::move(*parsed);
-  const auto cf = find_custody_field(v.header.fns);
-  if (!cf) return std::nullopt;
-  const std::size_t at = cf->bit_offset / 8;
-  if (v.header.locations.size() < at + kCustodyTagBytes) return std::nullopt;
-  v.tag_field = std::span<const std::uint8_t>(v.header.locations)
-                    .subspan(at, kCustodyTagBytes);
-  v.tag = CustodyTag::read(v.tag_field);
-  if (const auto ff = find_frag_field(v.header.fns)) {
-    const std::size_t fat = ff->bit_offset / 8;
-    if (v.header.locations.size() >= fat + kFragBytes) {
-      v.frag = FragInfo::read(
-          std::span<const std::uint8_t>(v.header.locations).subspan(fat, kFragBytes));
-    }
-  }
-  return v;
-}
-
-}  // namespace
-
 std::shared_ptr<core::OpRegistry> MeshCustodyFleet::make_registry() {
   auto registry = netsim::make_default_registry();
   add_custody_modules(*registry);
@@ -47,20 +13,36 @@ std::shared_ptr<core::OpRegistry> MeshCustodyFleet::make_registry() {
 
 MeshCustodyFleet::MeshCustodyFleet(mesh::MeshNet& mesh, Config config)
     : mesh_(mesh), config_(config) {
-  nodes_.reserve(mesh_.size());
+  agents_.reserve(mesh_.size());
   for (std::size_t i = 0; i < mesh_.size(); ++i) {
-    NodeState state;
-    state.store = std::make_shared<CustodyStore>(config_.limits);
-    state.retx = RetxScheduler(config_.retx);
     mesh::MeshRouter& r = mesh_.router(i);
     r.env().custody_key = config_.custody_key;
     r.env().accept_custody = true;
-    r.env().custody_store = state.store;
-    r.set_forward_tap([this, i](mesh::FaceId ingress, mesh::FaceId egress,
+    mesh::MeshEventLoop& loop = mesh_.loop();
+    CustodyAgent::Substrate substrate{
+        .send = [&r](core::FaceId face, std::span<const std::uint8_t> packet) {
+          r.transmit(face, packet);
+        },
+        .schedule = [&loop](SimDuration delay, std::function<void()> fn) {
+          return loop.schedule_in(delay, std::move(fn));
+        },
+        .cancel = [&loop](std::uint64_t timer) { (void)loop.cancel_timer(timer); },
+        .now = [&loop] { return loop.now_ns(); },
+        // Deferred: never re-enter a router's process path from inside its
+        // own verdict handling. The ACK rides the routed fabric like any
+        // packet.
+        .send_ack = [this, i](core::FaceId, std::vector<std::uint8_t> ack) {
+          mesh_.loop().schedule_in(0, [this, i, bytes = std::move(ack)] {
+            mesh_.router(i).inject(bytes, mesh_.local_face_of(i));
+          });
+        }};
+    agents_.push_back(std::make_unique<CustodyAgent>(r.env(), config_, std::move(substrate)));
+    // Local delivery is terminal: the delivery handler ACKs for itself.
+    r.set_forward_tap([this, i](core::FaceId ingress, core::FaceId egress,
                                 std::span<const std::uint8_t> packet) {
-      on_forward(i, ingress, egress, packet);
+      return agents_[i]->on_forward(ingress, egress, packet,
+                                    egress != mesh_.local_face_of(i));
     });
-    nodes_.push_back(std::move(state));
   }
   mesh_.set_delivery([this](std::size_t i, std::span<const std::uint8_t> packet,
                             std::uint64_t now) { on_delivery(i, packet, now); });
@@ -74,91 +56,59 @@ std::uint32_t MeshCustodyFleet::send(std::size_t src, std::size_t dst,
   bundle_times_[bundle] = {mesh_.loop().now_ns(), 0};
 
   for (std::size_t f = 0; f < total; ++f) {
-    CustodyTag tag;
-    tag.flags = kCustodyRequest;
-    tag.custodian = node_id(src);  // the source router is the initial custodian
-    tag.prev_custodian = static_cast<std::uint16_t>(node_id(src));
-    tag.bundle_id = bundle;
-    tag.chain_digest = chain_mix(0, node_id(src));
     FragInfo frag;
     frag.index = static_cast<std::uint16_t>(f);
     frag.total = static_cast<std::uint16_t>(total);
     frag.bundle_id = bundle;
-
-    const auto header = make_dip32_custody_header(
-        mesh::addr_of(node_id(dst)), mesh::addr_of(node_id(src)), tag, frag,
-        config_.custody_key, mesh_.router(src).env().mac_kind);
-    if (!header) continue;
-    mesh::PacketBytes packet = header->serialize();
-    const std::size_t off = f * per;
-    const std::size_t len =
-        std::min(per, payload.size() - std::min(off, payload.size()));
-    packet.insert(packet.end(), payload.begin() + static_cast<std::ptrdiff_t>(off),
-                  payload.begin() + static_cast<std::ptrdiff_t>(off + len));
-    // The source router accepts custody of its own injection: the forward
-    // tap commits the fragment before it ever touches a wire.
-    mesh_.router(src).inject(packet, mesh_.local_face_of(src));
+    const std::size_t off = std::min(f * per, payload.size());
+    // The source router is the initial custodian.
+    mesh::PacketBytes packet = make_fragment_packet(
+        mesh::addr_of(node_id(dst)), mesh::addr_of(node_id(src)), node_id(src), frag,
+        payload.subspan(off, std::min(per, payload.size() - off)), config_.custody_key,
+        mesh_.router(src).env().mac_kind);
+    if (packet.empty()) continue;
+    offer(src, std::move(packet), 0);
   }
   return bundle;
 }
 
-void MeshCustodyFleet::on_forward(std::size_t i, mesh::FaceId /*ingress*/,
-                                  mesh::FaceId egress,
-                                  std::span<const std::uint8_t> packet) {
-  const auto view = parse_view(packet);
-  const std::uint64_t now = mesh_.loop().now_ns();
-  if (!view || view->tag.is_ack() ||
-      !(view->tag.requested() && view->tag.custodian == node_id(i))) {
-    // Not a custody acceptance of ours: first-transmission band.
-    nodes_[i].retx.on_primary(packet.size(), now);
+void MeshCustodyFleet::offer(std::size_t src, mesh::PacketBytes packet,
+                             std::uint32_t attempt) {
+  // The source router accepts custody of its own injection: the forward
+  // tap commits the fragment before it ever touches a wire.
+  const std::uint64_t refused_before = agents_[src]->custody_drops();
+  mesh_.router(src).inject(packet, mesh_.local_face_of(src));
+  if (agents_[src]->custody_drops() == refused_before ||
+      attempt >= config_.limits.max_retries) {
     return;
   }
-  if (egress == mesh_.local_face_of(i)) return;  // terminal: delivery ACKs
-
-  const std::uint64_t key = frag_key(view->tag.bundle_id, view->frag.index);
-  bool duplicate = false;
-  CustodyStore::Entry* entry =
-      nodes_[i].store->commit(key, packet, egress, now, &duplicate);
-  if (entry == nullptr) {
-    // Store full of live custody: the packet still forwards (a tap cannot
-    // veto), but this node takes no custody and sends no ACK — the previous
-    // custodian keeps retrying until space frees or the next hop commits.
-    ++custody_drops_;
-    return;
-  }
-  if (view->tag.prev_custodian != static_cast<std::uint16_t>(node_id(i))) {
-    ack_from(i, view->tag, view->frag, view->tag.prev_custodian);
-  }
-  if (duplicate) return;  // re-offered fragment: re-ACKed above, keep timer
-  nodes_[i].retx.on_primary(packet.size(), now);
-  arm_retry(i, key);
+  // Refused (store full of live custody): the application still holds the
+  // fragment and offers it again, as a host sender retries toward its
+  // first custodian.
+  mesh_.loop().schedule_in(config_.retry.timeout_for(attempt),
+                           [this, src, attempt, p = std::move(packet)]() mutable {
+                             offer(src, std::move(p), attempt + 1);
+                           });
 }
 
 void MeshCustodyFleet::on_delivery(std::size_t i, std::span<const std::uint8_t> packet,
                                    std::uint64_t now) {
-  const auto view = parse_view(packet);
+  const auto view = parse_custody_view(packet);
   if (!view) return;
-  mesh::MeshRouter& r = mesh_.router(i);
-  const auto tag =
-      verify_custody_tag(view->tag_field, config_.custody_key, r.env().mac_kind);
-  if (!tag) return;  // forged/corrupt custody plane: ignore
-
-  const std::uint64_t key = frag_key(tag->bundle_id, view->frag.index);
-  if (tag->is_ack()) {
-    // Release our copy; cancel its retry timer so the heap stays small.
-    if (CustodyStore::Entry* entry = nodes_[i].store->find(key)) {
-      if (entry->timer_id != 0) mesh_.loop().cancel_timer(entry->timer_id);
-    }
-    nodes_[i].store->release(key);
+  CustodyAgent& agent = *agents_[i];
+  if (view->tag.is_ack()) {
+    (void)agent.on_ack(*view);  // a forged release is ignored
     return;
   }
+  mesh::MeshRouter& r = mesh_.router(i);
+  const auto tag =
+      verify_custody_tag(view->tag_field(), config_.custody_key, r.env().mac_kind);
+  if (!tag) return;  // forged/corrupt custody plane: ignore
 
   // Terminal data fragment. ACK the last custodian (the final custody
   // transfer), dedup, and assemble.
-  if (tag->prev_custodian != static_cast<std::uint16_t>(node_id(i))) {
-    ack_from(i, *tag, view->frag, tag->prev_custodian);
-  }
-  if (!rx_frags_.insert(key).second) {
+  agent.ack(*tag, view->frag, mesh_.local_face_of(i));
+  if (!rx_frags_.insert(frag_key(tag->bundle_id, view->frag.index)).second) {
     ++duplicates_;
     return;
   }
@@ -166,8 +116,7 @@ void MeshCustodyFleet::on_delivery(std::size_t i, std::span<const std::uint8_t> 
   if (rx_complete_.count(tag->bundle_id) != 0) return;
   RxBundle& rx = rx_pending_[tag->bundle_id];
   if (rx.total == 0) rx.total = view->frag.total;
-  rx.got.insert(view->frag.index);
-  if (rx.total != 0 && rx.got.size() >= rx.total) {
+  if (rx.total != 0 && ++rx.got >= rx.total) {
     rx_complete_.insert(tag->bundle_id);
     rx_pending_.erase(tag->bundle_id);
     if (auto it = bundle_times_.find(tag->bundle_id); it != bundle_times_.end()) {
@@ -176,53 +125,29 @@ void MeshCustodyFleet::on_delivery(std::size_t i, std::span<const std::uint8_t> 
   }
 }
 
-void MeshCustodyFleet::ack_from(std::size_t i, CustodyTag tag, FragInfo frag,
-                                std::uint32_t prev_custodian) {
-  const auto ack = make_custody_ack_header(
-      mesh::addr_of(prev_custodian), mesh::addr_of(node_id(i)), tag, frag,
-      config_.custody_key, mesh_.router(i).env().mac_kind);
-  if (!ack) return;
-  ++acks_sent_;
-  // Deferred: never re-enter a router's process path from inside its own
-  // verdict handling. The ACK rides the routed fabric like any packet.
-  mesh_.loop().schedule_in(0, [this, i, bytes = ack->serialize()]() mutable {
-    mesh_.router(i).inject(bytes, mesh_.local_face_of(i));
-  });
-}
-
-void MeshCustodyFleet::arm_retry(std::size_t i, std::uint64_t key) {
-  CustodyStore::Entry* entry = nodes_[i].store->find(key);
-  if (entry == nullptr) return;
-  const std::uint64_t delay = config_.retry.timeout_for(entry->attempts) +
-                              nodes_[i].retx.gap_for(entry->packet.size());
-  const std::uint32_t expected = entry->attempts;
-  entry->timer_id = mesh_.loop().schedule_in(
-      delay, [this, i, key, expected] { on_retry(i, key, expected); });
-}
-
-void MeshCustodyFleet::on_retry(std::size_t i, std::uint64_t key,
-                                std::uint32_t expected_attempts) {
-  CustodyStore::Entry* entry = nodes_[i].store->find(key);
-  if (entry == nullptr || entry->attempts != expected_attempts) return;
-  if (!nodes_[i].store->charge_retransmission(key)) {
-    entry->timer_id = 0;  // exhausted: go quiet, stay evictable
-    return;
-  }
-  mesh_.router(i).transmit(entry->egress, entry->packet);
-  arm_retry(i, key);
-}
-
 bool MeshCustodyFleet::stores_empty() const {
-  for (const auto& n : nodes_) {
-    if (n.store->bundles() != 0) return false;
+  for (const auto& a : agents_) {
+    if (a->store().bundles() != 0) return false;
   }
   return true;
 }
 
+std::uint64_t MeshCustodyFleet::acks_sent() const noexcept {
+  std::uint64_t n = 0;
+  for (const auto& a : agents_) n += a->acks_sent();
+  return n;
+}
+
+std::uint64_t MeshCustodyFleet::custody_drops() const noexcept {
+  std::uint64_t n = 0;
+  for (const auto& a : agents_) n += a->custody_drops();
+  return n;
+}
+
 CustodyStoreStats MeshCustodyFleet::aggregate_store_stats() const {
   CustodyStoreStats total;
-  for (const auto& n : nodes_) {
-    const CustodyStoreStats& s = n.store->stats();
+  for (const auto& a : agents_) {
+    const CustodyStoreStats& s = a->store().stats();
     total.commits += s.commits;
     total.duplicate_commits += s.duplicate_commits;
     total.refused_full += s.refused_full;
@@ -238,8 +163,8 @@ CustodyStoreStats MeshCustodyFleet::aggregate_store_stats() const {
 
 std::size_t MeshCustodyFleet::store_bytes_high_water() const {
   std::size_t high = 0;
-  for (const auto& n : nodes_) {
-    high = std::max(high, n.store->stats().bytes_high_water);
+  for (const auto& a : agents_) {
+    high = std::max(high, a->store().stats().bytes_high_water);
   }
   return high;
 }
@@ -252,13 +177,13 @@ std::pair<std::uint64_t, std::uint64_t> MeshCustodyFleet::bundle_times(
 }
 
 void MeshCustodyFleet::write_stats(telemetry::StatsWriter& w) const {
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    nodes_[i].store->write_stats(w, node_id(i));
+  for (std::size_t i = 0; i < agents_.size(); ++i) {
+    agents_[i]->store().write_stats(w, node_id(i));
   }
   w.counter("dip_dtn_fragments_delivered_total", {}, fragments_delivered_);
   w.counter("dip_dtn_duplicate_fragments_total", {}, duplicates_);
-  w.counter("dip_dtn_acks_total", {}, acks_sent_);
-  w.counter("dip_dtn_custody_drops_total", {}, custody_drops_);
+  w.counter("dip_dtn_acks_total", {}, acks_sent());
+  w.counter("dip_dtn_custody_drops_total", {}, custody_drops());
   w.gauge("dip_dtn_bundles_completed", {}, static_cast<double>(rx_complete_.size()));
 }
 

@@ -2,11 +2,11 @@
 //
 // Each MeshRouter runs the PR-5 control machinery (ControlTables + a
 // coalescing RouteJournal); this header is the glue that turns the gossiped
-// link-state database into published FIB snapshots. Route computation is a
-// deterministic BFS (hop-count SPF, ties broken toward the smallest
-// next-hop node id), and an edge only exists when *both* endpoints
-// advertise it — an asymmetric view during link failure kills the edge
-// mesh-wide as soon as either side's new LSA lands.
+// link-state database into published FIB snapshots. Route computation is
+// the shared ctrl::first_hops SPF (hop count, ties broken toward the
+// smallest next-hop node id), and an edge only exists when *both*
+// endpoints advertise it — an asymmetric view during link failure kills the
+// edge mesh-wide as soon as either side's new LSA lands.
 //
 // Address plan: node n owns 10.(n>>8).(n&255).0/24 and answers at host .1,
 // so a /24 route per node covers Internet-style longest-prefix matching
@@ -28,9 +28,10 @@ namespace dip::mesh {
 /// The /24 prefix node `n` originates (10.x.y.0/24).
 [[nodiscard]] fib::Prefix<32> prefix_of(std::uint32_t node) noexcept;
 
-/// BFS next hops from `self` over the LSDB: destination node -> neighbor
-/// node id of the first hop. Unreachable destinations (and `self`) are
-/// absent. Deterministic for a given LSDB.
+/// Next hops from `self` over the LSDB's both-endpoints edges (the shared
+/// ctrl::first_hops SPF): destination node -> neighbor node id of the first
+/// hop. Unreachable destinations (and `self`) are absent. Deterministic for
+/// a given LSDB.
 [[nodiscard]] std::map<std::uint32_t, std::uint32_t> compute_next_hops(
     const LinkStateDb& lsdb, std::uint32_t self);
 

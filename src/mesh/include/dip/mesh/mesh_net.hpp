@@ -2,10 +2,11 @@
 //
 // Owns the routers, their sockets (real UDP or MockFabric), the clock, and
 // the wiring: connect() hands each endpoint a wire face toward the other
-// with a fresh mesh-wide half-link ordinal (the impairer PRNG stream
-// selector, netsim's contract). Discovery is in-band: a TTL-1 hello round
-// teaches every router who sits behind each face, then a flooded LSA round
-// fills every LSDB; convergence is observed, not assumed (all_discovered()).
+// with a fresh mesh-wide half-link ordinal (the netsim::FaultStream
+// selector, numbered as netsim::Network numbers its half-links). Discovery
+// is in-band: a TTL-1 hello round teaches every router who sits behind each
+// face, then a flooded LSA round fills every LSDB; convergence is observed,
+// not assumed (all_discovered()).
 //
 // The aggregate conservation ledger holds because both ends of every link
 // are counted in this process:

@@ -1,17 +1,15 @@
 // MeshRouter — one DIP router as a socket-attached mesh participant.
 //
-// The scale-out counterpart of netsim::DipRouterNode: the same core::Router
-// and verdict handling (forward/replicate, drop ledger, §2.4 error
-// notifications, footnote-2 cache responses), but faces are UDP endpoints
-// on loopback instead of simulated links. Each router is thread-confined
-// together with its event loop; routers in different threads or processes
-// share nothing but datagrams.
+// The scale-out counterpart of netsim::DipRouterNode: the same
+// netsim::NodeRuntime (router plus verdict handling), but faces are UDP
+// endpoints on loopback instead of simulated links. Each router is
+// thread-confined together with its event loop; routers in different
+// threads or processes share nothing but datagrams.
 //
 // Wire path:
-//   egress — serialize → per-face LinkImpairer decides fate (netsim seed
-//   contract) → frame (kData, per-half-link seq) → nonblocking send;
-//   EAGAIN is the `dropped` ledger bucket (transmit queue full), reorder
-//   hold-backs ride event-loop timers.
+//   egress — the face's netsim::FaultStream decides fate → frame (kData,
+//   per-half-link seq) → nonblocking send; EAGAIN is the `dropped` ledger
+//   bucket (transmit queue full), reorder hold-backs ride event-loop timers.
 //   ingress — drain the socket to EAGAIN, decode frames, bucket kData
 //   payloads per ingress face, run each bucket through
 //   Router::process_batch, apply verdicts, announce ctrl quiescence.
@@ -28,7 +26,6 @@
 // (mesh/control.hpp) and AS-graph capability queries.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -37,12 +34,12 @@
 
 #include "dip/bootstrap/capability.hpp"
 #include "dip/core/registry.hpp"
-#include "dip/core/router.hpp"
 #include "dip/ctrl/journal.hpp"
 #include "dip/mesh/event_loop.hpp"
 #include "dip/mesh/frame.hpp"
-#include "dip/mesh/impair.hpp"
 #include "dip/mesh/socket.hpp"
+#include "dip/netsim/faults.hpp"
+#include "dip/netsim/node_runtime.hpp"
 #include "dip/telemetry/exposition.hpp"
 
 namespace dip::mesh {
@@ -53,9 +50,9 @@ using FaceId = std::uint32_t;
 /// One node's wire-path conservation counters (catalogue above).
 struct WireLedger {
   std::uint64_t transmitted = 0;  ///< data frames entering the send path
-  std::uint64_t duplicated = 0;   ///< extra copies injected by the impairer
+  std::uint64_t duplicated = 0;   ///< extra copies injected by the fault stream
   std::uint64_t delivered = 0;    ///< data frames arriving at this node
-  std::uint64_t lost = 0;         ///< impairer drop decisions
+  std::uint64_t lost = 0;         ///< fault-stream drop decisions
   std::uint64_t blackholed = 0;   ///< blackout windows + failed links
   std::uint64_t dropped = 0;      ///< send-side EAGAIN (transmit queue full)
   std::uint64_t corrupted = 0;    ///< informational: delivered with flips
@@ -69,6 +66,10 @@ struct WireLedger {
   /// transmitted + duplicated - delivered - lost - blackholed - dropped.
   /// Zero over a quiesced aggregate; per-node it is the in-flight skew.
   [[nodiscard]] std::int64_t imbalance() const noexcept;
+  /// The dip_mesh_* ledger counters (docs/OBSERVABILITY.md), per node or
+  /// mesh-wide depending on `labels`.
+  void write_stats(telemetry::StatsWriter& w,
+                   std::span<const telemetry::Label> labels) const;
 };
 
 /// One origin's link-state announcement as stored in the LSDB.
@@ -109,13 +110,13 @@ class MeshRouter {
 
   [[nodiscard]] std::uint32_t node_id() const noexcept { return config_.node_id; }
   [[nodiscard]] Endpoint endpoint() const noexcept { return socket_->local_endpoint(); }
-  [[nodiscard]] core::Router& router() noexcept { return router_; }
-  [[nodiscard]] core::RouterEnv& env() noexcept { return router_.env(); }
+  [[nodiscard]] core::Router& router() noexcept { return runtime_.router(); }
+  [[nodiscard]] core::RouterEnv& env() noexcept { return runtime_.env(); }
   [[nodiscard]] ctrl::RouteJournal& journal() noexcept { return journal_; }
 
   /// Attach a wire face toward `peer`. `ordinal` is the mesh-wide
-  /// half-link ordinal (the impairer PRNG stream selector); `faults`
-  /// defaults inactive.
+  /// half-link ordinal (the fault-stream PRNG selector); `faults` defaults
+  /// inactive.
   FaceId add_wire_face(Endpoint peer, std::uint32_t ordinal,
                        const netsim::FaultPlan& faults = {});
   /// Attach a host-facing face; forwarding to it delivers locally.
@@ -139,21 +140,22 @@ class MeshRouter {
   [[nodiscard]] const LinkStateDb& lsdb() const noexcept { return lsdb_; }
 
   /// Locally originate a DIP packet (traffic generator ingress): runs the
-  /// router with `ingress` (a local face) and applies the verdict.
-  void inject(std::span<std::uint8_t> packet, FaceId ingress);
+  /// router over a copy of `packet` with `ingress` (a local face) and
+  /// applies the verdict.
+  void inject(std::span<const std::uint8_t> packet, FaceId ingress);
 
-  /// Observer of every forwarded data packet (after FN rewrites, before the
-  /// wire): (ingress, egress, packet bytes). The DTN overlay uses this to
-  /// commit custody copies of forwarded bundles (dtn/mesh_dtn.hpp).
-  using ForwardTap =
-      std::function<void(FaceId ingress, FaceId egress, std::span<const std::uint8_t>)>;
-  void set_forward_tap(ForwardTap tap) { forward_tap_ = std::move(tap); }
+  /// Called for every forwarded data packet (after FN rewrites, before the
+  /// wire) with (ingress, egress, packet bytes); returning false drops that
+  /// copy. The DTN overlay decides custody admission here, so a fragment
+  /// its store refuses is not forwarded (dtn/mesh_dtn.hpp).
+  using ForwardTap = netsim::NodeRuntime::ForwardVeto;
+  void set_forward_tap(ForwardTap tap) { runtime_.set_forward_veto(std::move(tap)); }
 
   /// Transmit raw packet bytes out `face` through the ledgered egress path
-  /// (impair → frame → send). Local faces deliver locally. Overlay use:
-  /// custody retransmissions replay stored bytes without re-processing.
+  /// (fault stream → frame → send). Local faces deliver locally. Overlay
+  /// use: custody retransmissions replay stored bytes without re-processing.
   void transmit(FaceId face, std::span<const std::uint8_t> packet) {
-    send_data(face, packet);
+    send_data(face, PacketBytes(packet.begin(), packet.end()));
   }
 
   /// Data frames sent on hold-back timers that have not hit the socket yet
@@ -163,11 +165,12 @@ class MeshRouter {
   [[nodiscard]] const WireLedger& ledger() const noexcept { return ledger_; }
   [[nodiscard]] std::uint64_t local_delivered() const noexcept { return local_delivered_; }
   [[nodiscard]] std::uint64_t drops(core::DropReason reason) const {
-    return drop_counts_[static_cast<std::size_t>(reason) % drop_counts_.size()];
+    return runtime_.drops()[reason];
   }
 
-  /// `dip_mesh_*` per-node series plus the router's own counters, all
-  /// labelled node="<id>" (catalogue in docs/OBSERVABILITY.md).
+  /// `dip_mesh_*` per-node series — wire ledger, local deliveries and
+  /// verdict drops — labelled node="<id>" (catalogue in
+  /// docs/OBSERVABILITY.md).
   void write_stats(telemetry::StatsWriter& w) const;
 
  private:
@@ -177,7 +180,7 @@ class MeshRouter {
     Endpoint peer;
     std::uint32_t peer_node = 0;  ///< learned from frame src_node
     bool up = true;
-    LinkImpairer impairer;
+    netsim::FaultStream faults;
     std::uint64_t tx_seq = 0;       ///< next kData seq on this half-link
     std::uint64_t rx_next_seq = 0;  ///< expected next inbound kData seq
     bool rx_seen = false;
@@ -189,15 +192,10 @@ class MeshRouter {
   void handle_hello(const Frame& frame, FaceId ingress);
   void flush_ingress_bursts(std::uint64_t now);
 
-  void apply_verdict(FaceId ingress, std::span<std::uint8_t> packet,
-                     const core::ProcessResult& result);
-  void emit_error(std::span<const std::uint8_t> original, core::OpKey offending,
-                  FaceId ingress);
-  void respond_from_cache(std::span<const std::uint8_t> interest, FaceId ingress);
-
-  /// The ledgered egress path: impair, frame, send (or hold back on a
-  /// reorder timer). Entry point for every data transmission on a face.
-  void send_data(FaceId face, std::span<const std::uint8_t> packet);
+  /// The ledgered egress path: fault stream, frame, send (or hold back on a
+  /// reorder timer). Entry point for every data transmission on a face;
+  /// the NodeRuntime's Send.
+  void send_data(FaceId face, PacketBytes packet);
   /// Frame + socket write + EAGAIN accounting for one (possibly delayed,
   /// possibly duplicate) copy.
   void emit_frame(FaceId face, PacketBytes frame_bytes, bool duplicate);
@@ -207,9 +205,8 @@ class MeshRouter {
   MeshEventLoop& loop_;
   std::unique_ptr<DatagramSocket> socket_;
   MeshEventLoop::SocketId socket_id_ = 0;
-  std::shared_ptr<const core::OpRegistry> registry_;
   std::shared_ptr<ctrl::ControlTables> tables_;
-  core::Router router_;
+  netsim::NodeRuntime runtime_;
   ctrl::RouteJournal journal_;
 
   std::vector<Face> faces_;
@@ -219,10 +216,8 @@ class MeshRouter {
   std::uint16_t lsa_version_ = 0;
 
   WireLedger ledger_;
-  ForwardTap forward_tap_;
   std::uint64_t local_delivered_ = 0;
   std::size_t holdbacks_ = 0;
-  std::array<std::uint64_t, 16> drop_counts_{};
 
   // Ingress burst buckets: per-face packet payloads collected during a
   // drain, then run through process_batch. Kept across drains so the
@@ -232,8 +227,6 @@ class MeshRouter {
     std::vector<PacketBytes> packets;
   };
   std::vector<Bucket> buckets_;
-  std::vector<core::PacketRef> burst_refs_;
-  std::vector<core::ProcessResult> burst_results_;
   std::vector<std::uint8_t> recv_buf_;
 };
 

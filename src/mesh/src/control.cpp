@@ -1,7 +1,8 @@
 #include "dip/mesh/control.hpp"
 
 #include <algorithm>
-#include <deque>
+
+#include "dip/ctrl/spf.hpp"
 
 namespace dip::mesh {
 
@@ -29,31 +30,22 @@ namespace {
          std::binary_search(nb.begin(), nb.end(), a);
 }
 
+/// The LSDB as an SPF adjacency: only edges both endpoints advertise.
+[[nodiscard]] ctrl::Adjacency adjacency_of(const LinkStateDb& lsdb) {
+  ctrl::Adjacency adj;
+  for (const auto& [origin, lsa] : lsdb) {
+    for (const std::uint32_t n : lsa.neighbors) {
+      if (symmetric_edge(lsdb, origin, n)) adj[origin].insert(n);
+    }
+  }
+  return adj;
+}
+
 }  // namespace
 
 std::map<std::uint32_t, std::uint32_t> compute_next_hops(const LinkStateDb& lsdb,
                                                          std::uint32_t self) {
-  std::map<std::uint32_t, std::uint32_t> first_hop;  // dest -> neighbor of self
-  if (!lsdb.contains(self)) return first_hop;
-
-  // BFS layer by layer; neighbors are stored sorted, so the first parent to
-  // claim a node is the one with the smallest first-hop id at minimal depth.
-  std::map<std::uint32_t, std::uint32_t> via;  // node -> first hop used
-  std::deque<std::uint32_t> frontier{self};
-  via[self] = self;
-  while (!frontier.empty()) {
-    const std::uint32_t u = frontier.front();
-    frontier.pop_front();
-    const auto it = lsdb.find(u);
-    if (it == lsdb.end()) continue;
-    for (const std::uint32_t v : it->second.neighbors) {
-      if (via.contains(v) || !symmetric_edge(lsdb, u, v)) continue;
-      via[v] = u == self ? v : via[u];
-      first_hop[v] = via[v];
-      frontier.push_back(v);
-    }
-  }
-  return first_hop;
+  return ctrl::first_hops(adjacency_of(lsdb), self);
 }
 
 std::size_t publish_routes(MeshRouter& router, FaceId local_face) {
@@ -86,11 +78,9 @@ bootstrap::AsGraph as_graph_of(const LinkStateDb& lsdb) {
   for (const auto& [origin, lsa] : lsdb) {
     graph.add_as(origin, lsa.capabilities);
   }
-  for (const auto& [origin, lsa] : lsdb) {
-    for (const std::uint32_t n : lsa.neighbors) {
-      if (origin < n && symmetric_edge(lsdb, origin, n)) {
-        (void)graph.add_link(origin, n);
-      }
+  for (const auto& [origin, neighbors] : adjacency_of(lsdb)) {
+    for (const std::uint32_t n : neighbors) {
+      if (origin < n) (void)graph.add_link(origin, n);
     }
   }
   return graph;

@@ -1,5 +1,7 @@
 #include "dip/mesh/frame.hpp"
 
+#include "dip/bytes/cursor.hpp"
+
 namespace dip::mesh {
 
 namespace {
@@ -13,33 +15,6 @@ namespace {
   return x;
 }
 
-void put16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-void put32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  put16(out, static_cast<std::uint16_t>(v >> 16));
-  put16(out, static_cast<std::uint16_t>(v));
-}
-
-void put64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put32(out, static_cast<std::uint32_t>(v >> 32));
-  put32(out, static_cast<std::uint32_t>(v));
-}
-
-[[nodiscard]] std::uint16_t get16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
-}
-
-[[nodiscard]] std::uint32_t get32(const std::uint8_t* p) {
-  return (static_cast<std::uint32_t>(get16(p)) << 16) | get16(p + 2);
-}
-
-[[nodiscard]] std::uint64_t get64(const std::uint8_t* p) {
-  return (static_cast<std::uint64_t>(get32(p)) << 32) | get32(p + 4);
-}
-
 }  // namespace
 
 std::vector<std::uint8_t> encode_frame(FrameType type, std::uint32_t src_node,
@@ -47,12 +22,12 @@ std::vector<std::uint8_t> encode_frame(FrameType type, std::uint32_t src_node,
                                        std::span<const std::uint8_t> payload) {
   std::vector<std::uint8_t> out;
   out.reserve(FrameHeader::kWireSize + payload.size());
-  put16(out, FrameHeader::kMagic);
+  bytes::append_be<std::uint16_t>(out, FrameHeader::kMagic);
   out.push_back(FrameHeader::kVersion);
   out.push_back(static_cast<std::uint8_t>(type));
-  put32(out, src_node);
-  put64(out, seq);
-  put16(out, static_cast<std::uint16_t>(payload.size()));
+  bytes::append_be<std::uint32_t>(out, src_node);
+  bytes::append_be<std::uint64_t>(out, seq);
+  bytes::append_be<std::uint16_t>(out, static_cast<std::uint16_t>(payload.size()));
   out.push_back(frame_checksum(out));
   out.push_back(0);  // reserved
   out.insert(out.end(), payload.begin(), payload.end());
@@ -63,7 +38,7 @@ bytes::Result<Frame> decode_frame(std::span<const std::uint8_t> datagram) {
   if (datagram.size() < FrameHeader::kWireSize) {
     return bytes::Err(bytes::Error::kTruncated);
   }
-  if (get16(datagram.data()) != FrameHeader::kMagic ||
+  if (bytes::load_be<std::uint16_t>(datagram.data()) != FrameHeader::kMagic ||
       datagram[2] != FrameHeader::kVersion || datagram[19] != 0) {
     return bytes::Err(bytes::Error::kMalformed);
   }
@@ -81,9 +56,9 @@ bytes::Result<Frame> decode_frame(std::span<const std::uint8_t> datagram) {
     default:
       return bytes::Err(bytes::Error::kMalformed);
   }
-  f.header.src_node = get32(datagram.data() + 4);
-  f.header.seq = get64(datagram.data() + 8);
-  f.header.payload_len = get16(datagram.data() + 16);
+  f.header.src_node = bytes::load_be<std::uint32_t>(datagram.data() + 4);
+  f.header.seq = bytes::load_be<std::uint64_t>(datagram.data() + 8);
+  f.header.payload_len = bytes::load_be<std::uint16_t>(datagram.data() + 16);
   if (f.header.payload_len > FrameHeader::kMaxPayload) {
     return bytes::Err(bytes::Error::kMalformed);
   }

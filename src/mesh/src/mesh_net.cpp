@@ -155,18 +155,7 @@ WireLedger MeshNet::aggregate_ledger() const {
 }
 
 void MeshNet::write_stats(telemetry::StatsWriter& w) const {
-  const WireLedger total = aggregate_ledger();
-  w.counter("dip_mesh_transmitted_total", {}, total.transmitted);
-  w.counter("dip_mesh_duplicated_total", {}, total.duplicated);
-  w.counter("dip_mesh_delivered_total", {}, total.delivered);
-  w.counter("dip_mesh_lost_total", {}, total.lost);
-  w.counter("dip_mesh_blackholed_total", {}, total.blackholed);
-  w.counter("dip_mesh_dropped_total", {}, total.dropped);
-  w.counter("dip_mesh_corrupted_total", {}, total.corrupted);
-  w.counter("dip_mesh_decode_errors_total", {}, total.decode_errors);
-  w.counter("dip_mesh_seq_gaps_total", {}, total.seq_gaps);
-  w.counter("dip_mesh_hello_tx_total", {}, total.hello_tx);
-  w.counter("dip_mesh_hello_rx_total", {}, total.hello_rx);
+  aggregate_ledger().write_stats(w, {});
   w.gauge("dip_mesh_routers", {}, static_cast<double>(routers_.size()));
   loop_.write_stats(w);
 }

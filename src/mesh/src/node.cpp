@@ -3,31 +3,11 @@
 #include <algorithm>
 #include <cstring>
 
-#include "dip/core/header.hpp"
-#include "dip/ndn/ndn.hpp"
-#include "dip/security/error_message.hpp"
+#include "dip/bytes/cursor.hpp"
 
 namespace dip::mesh {
 
 namespace {
-
-void put16(PacketBytes& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-void put32(PacketBytes& out, std::uint32_t v) {
-  put16(out, static_cast<std::uint16_t>(v >> 16));
-  put16(out, static_cast<std::uint16_t>(v));
-}
-
-[[nodiscard]] std::uint16_t get16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
-}
-
-[[nodiscard]] std::uint32_t get32(const std::uint8_t* p) {
-  return (static_cast<std::uint32_t>(get16(p)) << 16) | get16(p + 2);
-}
 
 // kHello payload: origin:32 version:16 ttl:8 nnbr:16 neighbor:32 each,
 // then the CapabilitySet wire form. Compact, fixed-order, self-framing.
@@ -41,11 +21,11 @@ struct HelloImage {
 
 [[nodiscard]] PacketBytes encode_hello(const HelloImage& h) {
   PacketBytes out;
-  put32(out, h.origin);
-  put16(out, h.version);
+  bytes::append_be<std::uint32_t>(out, h.origin);
+  bytes::append_be<std::uint16_t>(out, h.version);
   out.push_back(h.ttl);
-  put16(out, static_cast<std::uint16_t>(h.neighbors.size()));
-  for (const std::uint32_t n : h.neighbors) put32(out, n);
+  bytes::append_be<std::uint16_t>(out, static_cast<std::uint16_t>(h.neighbors.size()));
+  for (const std::uint32_t n : h.neighbors) bytes::append_be<std::uint32_t>(out, n);
   const PacketBytes caps = h.capabilities.serialize();
   out.insert(out.end(), caps.begin(), caps.end());
   return out;
@@ -55,14 +35,14 @@ struct HelloImage {
     std::span<const std::uint8_t> payload) {
   if (payload.size() < 9) return std::nullopt;
   HelloImage h;
-  h.origin = get32(payload.data());
-  h.version = get16(payload.data() + 4);
+  h.origin = bytes::load_be<std::uint32_t>(payload.data());
+  h.version = bytes::load_be<std::uint16_t>(payload.data() + 4);
   h.ttl = payload[6];
-  const std::size_t nnbr = get16(payload.data() + 7);
+  const std::size_t nnbr = bytes::load_be<std::uint16_t>(payload.data() + 7);
   if (payload.size() < 9 + nnbr * 4) return std::nullopt;
   h.neighbors.reserve(nnbr);
   for (std::size_t i = 0; i < nnbr; ++i) {
-    h.neighbors.push_back(get32(payload.data() + 9 + i * 4));
+    h.neighbors.push_back(bytes::load_be<std::uint32_t>(payload.data() + 9 + i * 4));
   }
   auto caps = bootstrap::CapabilitySet::parse(payload.subspan(9 + nnbr * 4));
   if (!caps) return std::nullopt;
@@ -108,11 +88,11 @@ MeshRouter::MeshRouter(Config config, MeshEventLoop& loop,
     : config_(std::move(config)),
       loop_(loop),
       socket_(std::move(socket)),
-      registry_(std::move(registry)),
       tables_(std::make_shared<ctrl::ControlTables>()),
-      router_(make_env(config_.node_id, tables_), registry_.get()),
+      runtime_(make_env(config_.node_id, tables_), std::move(registry),
+               [this](FaceId face, PacketBytes packet) { send_data(face, std::move(packet)); }),
       journal_(tables_) {
-  router_.set_validation(config_.validation);
+  runtime_.router().set_validation(config_.validation);
   recv_buf_.resize(FrameHeader::kWireSize + FrameHeader::kMaxPayload + 64);
   socket_id_ = loop_.add_socket(*socket_, [this] { on_readable(); });
 }
@@ -124,7 +104,7 @@ FaceId MeshRouter::add_wire_face(Endpoint peer, std::uint32_t ordinal,
   Face f;
   f.kind = FaceKind::kWire;
   f.peer = peer;
-  f.impairer = LinkImpairer(faults, config_.fault_seed, ordinal);
+  f.faults = netsim::FaultStream(faults, config_.fault_seed, ordinal);
   const FaceId id = static_cast<FaceId>(faces_.size());
   faces_.push_back(std::move(f));
   ingress_of_[peer] = id;
@@ -286,84 +266,21 @@ void MeshRouter::handle_hello(const Frame& frame, FaceId ingress) {
 void MeshRouter::flush_ingress_bursts(std::uint64_t now) {
   for (Bucket& bucket : buckets_) {
     if (bucket.packets.empty()) continue;
-    burst_refs_.assign(bucket.packets.begin(), bucket.packets.end());
-    burst_results_.resize(bucket.packets.size());
-    router_.process_batch(burst_refs_, bucket.face, now, burst_results_);
-    for (std::size_t i = 0; i < bucket.packets.size(); ++i) {
-      apply_verdict(bucket.face, bucket.packets[i], burst_results_[i]);
-    }
+    runtime_.receive_burst(bucket.face, bucket.packets, now);
     bucket.packets.clear();
   }
 }
 
-void MeshRouter::inject(std::span<std::uint8_t> packet, FaceId ingress) {
-  const core::ProcessResult result =
-      router_.process(packet, ingress, loop_.now_ns());
-  apply_verdict(ingress, packet, result);
+void MeshRouter::inject(std::span<const std::uint8_t> packet, FaceId ingress) {
+  runtime_.receive(ingress, PacketBytes(packet.begin(), packet.end()), loop_.now_ns());
 }
 
-void MeshRouter::apply_verdict(FaceId ingress, std::span<std::uint8_t> packet,
-                               const core::ProcessResult& result) {
-  switch (result.action) {
-    case core::Action::kForward: {
-      if (result.respond_from_cache) {
-        respond_from_cache(packet, ingress);
-        return;
-      }
-      for (std::size_t i = 0; i < result.egress.size(); ++i) {
-        if (forward_tap_) forward_tap_(ingress, result.egress[i], packet);
-        send_data(result.egress[i], packet);
-      }
-      return;
-    }
-    case core::Action::kDrop: {
-      ++drop_counts_[static_cast<std::size_t>(result.reason) % drop_counts_.size()];
-      return;
-    }
-    case core::Action::kError: {
-      ++drop_counts_[static_cast<std::size_t>(result.reason) % drop_counts_.size()];
-      emit_error(packet, result.offending_key, ingress);
-      return;
-    }
-  }
-}
-
-void MeshRouter::emit_error(std::span<const std::uint8_t> original,
-                            core::OpKey offending, FaceId ingress) {
-  // §2.4: notify the source out the face the offending packet arrived on.
-  const auto header = core::DipHeader::parse(original);
-  if (!header) return;
-  const auto notification =
-      security::make_fn_unsupported_packet(*header, offending, config_.node_id);
-  if (!notification) return;  // no F_source: nobody to notify
-  send_data(ingress, *notification);
-}
-
-void MeshRouter::respond_from_cache(std::span<const std::uint8_t> interest,
-                                    FaceId ingress) {
-  // Footnote 2: answer the interest from the content store, back out the
-  // ingress face (mirrors netsim::DipRouterNode).
-  auto& store = env().content_store;
-  if (!store) return;
-  const auto header = core::DipHeader::parse(interest);
-  if (!header) return;
-  const auto name_code = ndn::extract_name_code(*header);
-  if (!name_code) return;
-  const auto payload = store->lookup(*name_code);
-  if (!payload) return;
-  const auto data_header = ndn::make_data_header32(*name_code, core::NextHeader::kNone);
-  if (!data_header) return;
-  PacketBytes data = data_header->serialize();
-  data.insert(data.end(), payload->begin(), payload->end());
-  send_data(ingress, data);
-}
-
-void MeshRouter::send_data(FaceId face_id, std::span<const std::uint8_t> packet) {
+void MeshRouter::send_data(FaceId face_id, PacketBytes bytes) {
   if (face_id >= faces_.size()) return;
   Face& face = faces_[face_id];
   if (face.kind == FaceKind::kLocal) {
     ++local_delivered_;
-    if (face.delivery) face.delivery(packet, loop_.now_ns());
+    if (face.delivery) face.delivery(bytes, loop_.now_ns());
     return;
   }
 
@@ -373,8 +290,7 @@ void MeshRouter::send_data(FaceId face_id, std::span<const std::uint8_t> packet)
     return;
   }
 
-  PacketBytes bytes(packet.begin(), packet.end());
-  const ImpairDecision d = face.impairer.next(loop_.now_ns(), bytes);
+  const netsim::FaultDecision d = face.faults.next(loop_.now_ns(), bytes);
   if (d.blackout) {
     ++ledger_.blackholed;
     return;
@@ -387,11 +303,11 @@ void MeshRouter::send_data(FaceId face_id, std::span<const std::uint8_t> packet)
 
   PacketBytes frame =
       encode_frame(FrameType::kData, config_.node_id, face.tx_seq++, bytes);
-  if (d.extra_delay_ns != 0) {
+  if (d.extra_delay != 0) {
     // Reorder hold-back: the copy leaves later, off a loop timer. Later
     // sends on this face overtake it — exactly netsim's reorder fault.
     ++holdbacks_;
-    loop_.schedule_in(d.extra_delay_ns,
+    loop_.schedule_in(d.extra_delay,
                       [this, face_id, f = std::move(frame), dup = d.duplicate] {
                         --holdbacks_;
                         emit_frame(face_id, f, false);
@@ -412,28 +328,27 @@ void MeshRouter::emit_frame(FaceId face_id, PacketBytes frame_bytes, bool duplic
   }
 }
 
+void WireLedger::write_stats(telemetry::StatsWriter& w,
+                             std::span<const telemetry::Label> labels) const {
+  w.counter("dip_mesh_transmitted_total", labels, transmitted);
+  w.counter("dip_mesh_duplicated_total", labels, duplicated);
+  w.counter("dip_mesh_delivered_total", labels, delivered);
+  w.counter("dip_mesh_lost_total", labels, lost);
+  w.counter("dip_mesh_blackholed_total", labels, blackholed);
+  w.counter("dip_mesh_dropped_total", labels, dropped);
+  w.counter("dip_mesh_corrupted_total", labels, corrupted);
+  w.counter("dip_mesh_decode_errors_total", labels, decode_errors);
+  w.counter("dip_mesh_seq_gaps_total", labels, seq_gaps);
+  w.counter("dip_mesh_hello_tx_total", labels, hello_tx);
+  w.counter("dip_mesh_hello_rx_total", labels, hello_rx);
+}
+
 void MeshRouter::write_stats(telemetry::StatsWriter& w) const {
   const std::string node_id = std::to_string(config_.node_id);
   const telemetry::Label labels[] = {{"node", node_id}};
-  w.counter("dip_mesh_transmitted_total", labels, ledger_.transmitted);
-  w.counter("dip_mesh_duplicated_total", labels, ledger_.duplicated);
-  w.counter("dip_mesh_delivered_total", labels, ledger_.delivered);
-  w.counter("dip_mesh_lost_total", labels, ledger_.lost);
-  w.counter("dip_mesh_blackholed_total", labels, ledger_.blackholed);
-  w.counter("dip_mesh_dropped_total", labels, ledger_.dropped);
-  w.counter("dip_mesh_corrupted_total", labels, ledger_.corrupted);
-  w.counter("dip_mesh_decode_errors_total", labels, ledger_.decode_errors);
-  w.counter("dip_mesh_seq_gaps_total", labels, ledger_.seq_gaps);
-  w.counter("dip_mesh_hello_tx_total", labels, ledger_.hello_tx);
-  w.counter("dip_mesh_hello_rx_total", labels, ledger_.hello_rx);
+  ledger_.write_stats(w, labels);
   w.counter("dip_mesh_local_delivered_total", labels, local_delivered_);
-  for (std::size_t r = 0; r < drop_counts_.size(); ++r) {
-    if (drop_counts_[r] == 0) continue;
-    const telemetry::Label drop_labels[] = {
-        {"node", node_id},
-        {"reason", core::to_string(static_cast<core::DropReason>(r))}};
-    w.counter("dip_mesh_verdict_drops_total", drop_labels, drop_counts_[r]);
-  }
+  runtime_.drops().write_stats(w, "dip_mesh_verdict_drops_total", node_id);
 }
 
 }  // namespace dip::mesh

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "dip/bytes/cursor.hpp"
 #include "dip/core/ip.hpp"
 
 namespace dip::mesh {
@@ -10,24 +11,6 @@ namespace {
 
 constexpr std::uint32_t kProbeMagic = 0x4D505231u;  // "MPR1"
 constexpr std::size_t kProbeBytes = 16;             // magic:4 flow:4 send_ns:8
-
-void put32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 3; i >= 0; --i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 7; i >= 0; --i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-[[nodiscard]] std::uint32_t get32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v = (v << 8) | p[i];
-  return v;
-}
-
-[[nodiscard]] std::uint64_t get64(const std::uint8_t* p) {
-  return (static_cast<std::uint64_t>(get32(p)) << 32) | get32(p + 4);
-}
 
 }  // namespace
 
@@ -62,9 +45,9 @@ std::size_t MeshTrafficGen::tick(std::size_t packets) {
         addr_of(net_.router(flow.src).node_id()));
     if (!header) continue;
     scratch_ = header->serialize();
-    put32(scratch_, kProbeMagic);
-    put32(scratch_, flow.id);
-    put64(scratch_, net_.loop().now_ns());
+    bytes::append_be<std::uint32_t>(scratch_, kProbeMagic);
+    bytes::append_be<std::uint32_t>(scratch_, flow.id);
+    bytes::append_be<std::uint64_t>(scratch_, net_.loop().now_ns());
 
     net_.router(flow.src).inject(scratch_, net_.local_face_of(flow.src));
     ++stats_.sent;
@@ -89,12 +72,12 @@ void MeshTrafficGen::on_delivered(std::size_t /*node*/,
     return;
   }
   const std::uint8_t* probe = packet.data() + packet.size() - kProbeBytes;
-  if (get32(probe) != kProbeMagic) {
+  if (bytes::load_be<std::uint32_t>(probe) != kProbeMagic) {
     ++stats_.mismatched;
     return;
   }
   ++stats_.received;
-  const std::uint64_t sent_at = get64(probe + 8);
+  const std::uint64_t sent_at = bytes::load_be<std::uint64_t>(probe + 8);
   const std::uint64_t latency = now >= sent_at ? now - sent_at : 0;
   stats_.latency_sum_ns += latency;
   stats_.latency_max_ns = std::max(stats_.latency_max_ns, latency);

@@ -7,10 +7,12 @@
 // single uint64 seed, so a failing chaos run replays bit for bit.
 //
 // Determinism contract:
-//   * each half-link owns a private PRNG seeded from
-//     mix(fault_seed, link_ordinal) at first use; fault decisions consume
-//     only that stream, in a fixed order per packet, so one link's faults
-//     never perturb another's;
+//   * each half-link owns one FaultStream: the plan, a private PRNG seeded
+//     from mix(fault_seed, link_ordinal), and the packet index. Fault
+//     decisions consume only that stream, in a fixed order per packet, so
+//     one link's faults never perturb another's. netsim::Network and the
+//     UDP mesh (mesh::MeshRouter) both draw from FaultStream::next, so one
+//     (plan, seed, ordinal) makes the same decisions on either substrate;
 //   * blackouts are pure functions of simulated time (no PRNG), giving
 //     schedulable outage windows;
 //   * every injected fault is appended to the Network's fault trace —
@@ -22,9 +24,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "dip/bytes/time.hpp"
+#include "dip/crypto/random.hpp"
 
 namespace dip::netsim {
 
@@ -42,9 +46,7 @@ enum class FaultKind : std::uint8_t {
 /// Per-link fault schedule. Default-constructed plans are inactive and the
 /// send path pays a single branch for them.
 struct FaultPlan {
-  /// Independent per-packet loss probability (drawn from the link PRNG;
-  /// separate from LinkParams::loss_rate, which predates the fault layer
-  /// and draws from the network-wide PRNG).
+  /// Independent per-packet loss probability (drawn from the link PRNG).
   double drop_rate = 0.0;
   /// Probability a packet is delivered twice (the copy rides back to back
   /// behind the original and skips the queue check it already passed).
@@ -72,6 +74,41 @@ struct FaultPlan {
     return blackout_period > 0 && blackout_duration > 0 &&
            now % blackout_period < blackout_duration;
   }
+};
+
+/// One packet's fate. At most one of `blackout`/`drop` is set (the packet
+/// never reaches the wire); the rest may combine.
+struct FaultDecision {
+  std::uint64_t index = 0;       ///< nth packet decided on this half-link
+  bool blackout = false;
+  bool drop = false;
+  bool duplicate = false;
+  std::uint32_t corrupt_bytes = 0;  ///< flipped byte count (0 = untouched)
+  SimDuration extra_delay = 0;      ///< reorder hold-back (0 = send now)
+};
+
+/// One half-link's fault stream: the plan, its seeded PRNG and the packet
+/// index. Every substrate draws its faults here.
+class FaultStream {
+ public:
+  FaultStream() = default;
+  /// SplitMix-style ordinal mix keeps sibling links' streams unrelated.
+  FaultStream(const FaultPlan& plan, std::uint64_t fault_seed,
+              std::uint64_t ordinal) noexcept
+      : plan_(plan), rng_(fault_seed ^ (0x9E3779B97F4A7C15ull * (ordinal + 1))) {}
+
+  [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
+
+  /// Decide the fate of the next packet sent at `now`, drawing in a fixed
+  /// order: blackout (pure function of time, no PRNG), drop, duplicate,
+  /// corrupt, reorder. A corrupt decision flips bytes of `packet` in place,
+  /// before the wire. An inactive plan costs one branch.
+  FaultDecision next(SimTime now, std::span<std::uint8_t> packet);
+
+ private:
+  FaultPlan plan_{};
+  crypto::Xoshiro256 rng_{0};
+  std::uint64_t packets_ = 0;
 };
 
 /// One injected fault, as recorded in the Network's fault trace.

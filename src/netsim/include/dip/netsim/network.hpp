@@ -3,7 +3,8 @@
 // Topology model: nodes are added first, then connected pairwise; each
 // connection allocates one face id on each endpoint. A link has propagation
 // latency, bandwidth (serialization delay = bits / bandwidth), and an
-// optional deterministic loss rate. Delivery is in-order per link.
+// optional deterministic FaultPlan (loss is FaultPlan::drop_rate). Delivery
+// is in-order per link unless the plan reorders.
 #pragma once
 
 #include <array>
@@ -14,7 +15,6 @@
 #include <span>
 #include <vector>
 
-#include "dip/crypto/random.hpp"
 #include "dip/netsim/event_loop.hpp"
 #include "dip/netsim/faults.hpp"
 #include "dip/telemetry/exposition.hpp"
@@ -50,7 +50,6 @@ class Node {
 struct LinkParams {
   SimDuration latency = 1 * kMicrosecond;
   std::uint64_t bandwidth_bps = 10'000'000'000;  ///< 10 Gb/s default
-  double loss_rate = 0.0;                        ///< deterministic PRNG loss
   /// Tail-drop bound: a packet that would wait longer than this in the
   /// transmit queue is dropped (0 = infinite queue). Models the finite
   /// buffers the NetFence/CSFQ experiments congest against.
@@ -62,12 +61,13 @@ struct LinkParams {
 
 class Network {
  public:
-  explicit Network(std::uint64_t seed = 1) : rng_(seed), fault_seed_(seed) {}
+  explicit Network(std::uint64_t seed = 1) : fault_seed_(seed) {}
 
-  /// Seed for every link's fault PRNG (defaults to the network seed). Must
-  /// be set before the first packet is transmitted; re-seeding afterwards
-  /// would fork the trace mid-run.
-  void set_fault_seed(std::uint64_t seed) noexcept { fault_seed_ = seed; }
+  /// Seed for every link's fault stream (defaults to the network seed).
+  /// Re-seeds the streams of links already connected, so it must be set
+  /// before the first packet is transmitted; re-seeding afterwards would
+  /// fork the trace mid-run.
+  void set_fault_seed(std::uint64_t seed);
   [[nodiscard]] std::uint64_t fault_seed() const noexcept { return fault_seed_; }
 
   /// Attach a node; the network does not own it.
@@ -91,14 +91,13 @@ class Network {
   }
 
   /// Parameters of the half-link transmitting out of (node, face), or
-  /// nullptr if unconnected/out of range. The control plane reads the
+  /// nullptr if out of range. The control plane reads the
   /// FaultPlan here to derive link state (FaultPlan::in_blackout is a pure
   /// function of simulated time, so "is this link dark right now" needs no
   /// extra event plumbing).
   [[nodiscard]] const LinkParams* link_params(NodeId node, FaceId face) const {
-    if (node >= faces_.size() || face >= faces_[node].size()) return nullptr;
-    const HalfLink& h = faces_[node][face];
-    return h.connected ? &h.params : nullptr;
+    const HalfLink* h = half(node, face);
+    return h != nullptr ? &h->params : nullptr;
   }
 
   [[nodiscard]] EventLoop& loop() noexcept { return loop_; }
@@ -116,7 +115,7 @@ class Network {
   struct Stats {
     std::uint64_t transmitted = 0;
     std::uint64_t delivered = 0;
-    std::uint64_t lost = 0;           ///< loss_rate + FaultPlan::drop_rate drops
+    std::uint64_t lost = 0;           ///< FaultPlan::drop_rate drops
     std::uint64_t queue_dropped = 0;  ///< tail drops at full transmit queues
     std::uint64_t dead_faced = 0;  ///< sent on an unconnected face
     std::uint64_t bytes = 0;
@@ -151,18 +150,15 @@ class Network {
     NodeId peer_node = 0;
     FaceId peer_face = 0;
     LinkParams params;
-    bool connected = false;
     SimTime busy_until = 0;  ///< serialization: in-order, back-to-back
-    // Fault state: a private PRNG (seeded lazily from the fault seed and
-    // the half-link ordinal) and this half-link's packet counter, so one
-    // link's fault draws never perturb another's.
-    std::uint64_t ordinal = 0;
-    std::uint64_t packet_index = 0;
-    crypto::Xoshiro256 fault_rng{0};
-    bool fault_rng_seeded = false;
+    std::uint64_t ordinal = 0;  ///< network-wide half-link ordinal
+    FaultStream faults;         ///< params.faults seeded by (seed, ordinal)
   };
 
-  HalfLink* half(NodeId node, FaceId face);
+  [[nodiscard]] const HalfLink* half(NodeId node, FaceId face) const {
+    return node < faces_.size() && face < faces_[node].size() ? &faces_[node][face]
+                                                              : nullptr;
+  }
   void record_fault(FaultKind kind, NodeId node, FaceId face,
                     std::uint64_t packet_index, std::uint64_t detail);
 
@@ -170,7 +166,6 @@ class Network {
   std::vector<Node*> nodes_;
   // faces_[node][face] -> half link.
   std::vector<std::vector<HalfLink>> faces_;
-  crypto::Xoshiro256 rng_;
   std::uint64_t fault_seed_;
   std::uint64_t next_link_ordinal_ = 0;
   std::vector<FaultEvent> fault_trace_;

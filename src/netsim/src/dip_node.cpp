@@ -4,7 +4,6 @@
 #include "dip/epic/epic.hpp"
 #include "dip/ndn/ndn.hpp"
 #include "dip/opt/opt.hpp"
-#include "dip/security/error_message.hpp"
 #include "dip/security/pass.hpp"
 #include "dip/telemetry/telemetry.hpp"
 #include "dip/xia/xia.hpp"
@@ -29,72 +28,8 @@ std::shared_ptr<core::OpRegistry> make_default_registry() {
   return registry;
 }
 
-void DipRouterNode::on_packet(FaceId face, PacketBytes packet, SimTime now) {
-  const core::ProcessResult result = router_.process(packet, face, now);
-  apply_verdict(face, packet, result);
-}
-
-void DipRouterNode::on_burst(FaceId face, std::vector<PacketBytes> packets, SimTime now) {
-  burst_refs_.assign(packets.begin(), packets.end());
-  burst_results_.resize(packets.size());
-  router_.process_batch(burst_refs_, face, now, burst_results_);
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    apply_verdict(face, packets[i], burst_results_[i]);
-  }
-}
-
-void DipRouterNode::apply_verdict(FaceId face, PacketBytes& packet,
-                                  const core::ProcessResult& result) {
-  switch (result.action) {
-    case core::Action::kForward: {
-      if (result.respond_from_cache) {
-        respond_from_cache(packet, face);
-        return;
-      }
-      // Replicate to every egress face (NDN data fan-out is >1).
-      for (std::size_t i = 0; i < result.egress.size(); ++i) {
-        if (i + 1 == result.egress.size()) {
-          network()->send(*this, result.egress[i], std::move(packet));
-        } else {
-          network()->send(*this, result.egress[i], packet);
-        }
-      }
-      return;
-    }
-    case core::Action::kDrop: {
-      ++drop_counts_[static_cast<std::size_t>(result.reason) % drop_counts_.size()];
-      return;
-    }
-    case core::Action::kError: {
-      ++drop_counts_[static_cast<std::size_t>(result.reason) % drop_counts_.size()];
-      emit_error(packet, result.offending_key, face);
-      return;
-    }
-  }
-}
-
-void DipRouterNode::write_stats(telemetry::StatsWriter& w) const {
-  const std::string node_id = std::to_string(router_.env().node_id);
-  const telemetry::Label labels[] = {{"node", node_id}};
-  const auto namer = [](std::size_t slot) {
-    return core::op_key_name(static_cast<core::OpKey>(slot));
-  };
-  telemetry::write_counter_snapshot(w, router_.env().counters.snapshot(),
-                                    labels, +namer);
-  if (const telemetry::RouterStats* stats = router_.env().stats.get()) {
-    telemetry::write_router_stats(w, *stats, labels, +namer);
-  }
-  for (std::size_t r = 0; r < drop_counts_.size(); ++r) {
-    if (drop_counts_[r] == 0) continue;
-    const telemetry::Label drop_labels[] = {
-        {"node", node_id},
-        {"reason", core::to_string(static_cast<core::DropReason>(r))}};
-    w.counter("dip_node_drops_total", drop_labels, drop_counts_[r]);
-  }
-}
-
 void DipRouterNode::register_stats(telemetry::StatsRegistry& registry) const {
-  registry.add("node " + std::to_string(router_.env().node_id),
+  registry.add("node " + std::to_string(runtime_.env().node_id),
                [this](telemetry::StatsWriter& w) { write_stats(w); });
 }
 
@@ -102,40 +37,6 @@ std::string DipRouterNode::dump_stats() const {
   telemetry::StatsWriter w;
   write_stats(w);
   return w.take();
-}
-
-void DipRouterNode::emit_error(const PacketBytes& original, core::OpKey offending,
-                               FaceId ingress) {
-  // §2.4: notify the source through a mechanism similar to ICMP. The
-  // notification leaves through the face the offending packet arrived on —
-  // the reverse path, as ICMP would.
-  const auto header = core::DipHeader::parse(original);
-  if (!header) return;
-  auto notification =
-      security::make_fn_unsupported_packet(*header, offending, env().node_id);
-  if (!notification) return;  // no F_source: nobody to notify
-  network()->send(*this, ingress, std::move(*notification));
-}
-
-void DipRouterNode::respond_from_cache(const PacketBytes& interest, FaceId ingress) {
-  // Footnote 2: a caching node answers the interest itself. Synthesize the
-  // data packet from the content store and send it back out the ingress.
-  auto& store = env().content_store;
-  if (!store) return;
-
-  const auto header = core::DipHeader::parse(interest);
-  if (!header) return;
-  const auto name_code = ndn::extract_name_code(*header);
-  if (!name_code) return;
-  const auto payload = store->lookup(*name_code);
-  if (!payload) return;
-
-  const auto data_header =
-      ndn::make_data_header32(*name_code, core::NextHeader::kNone);
-  if (!data_header) return;
-  PacketBytes data = data_header->serialize();
-  data.insert(data.end(), payload->begin(), payload->end());
-  network()->send(*this, ingress, std::move(data));
 }
 
 }  // namespace dip::netsim

@@ -4,17 +4,6 @@
 
 namespace dip::netsim {
 
-std::string_view to_string(FaultKind k) noexcept {
-  switch (k) {
-    case FaultKind::kDrop: return "drop";
-    case FaultKind::kDuplicate: return "duplicate";
-    case FaultKind::kCorrupt: return "corrupt";
-    case FaultKind::kReorder: return "reorder";
-    case FaultKind::kBlackout: return "blackout";
-  }
-  return "unknown";
-}
-
 NodeId Network::add_node(Node& node) {
   const auto id = static_cast<NodeId>(nodes_.size());
   node.id_ = id;
@@ -30,29 +19,30 @@ std::pair<FaceId, FaceId> Network::connect(Node& a, Node& b, LinkParams params) 
   auto& fb = faces_[b.id()];
   const auto face_a = static_cast<FaceId>(fa.size());
   const auto face_b = static_cast<FaceId>(fb.size());
-  HalfLink half_a{b.id(), face_b, params, true, 0, next_link_ordinal_++,
-                  0, crypto::Xoshiro256{0}, false};
-  HalfLink half_b{a.id(), face_a, params, true, 0, next_link_ordinal_++,
-                  0, crypto::Xoshiro256{0}, false};
-  fa.push_back(std::move(half_a));
-  fb.push_back(std::move(half_b));
+  const auto half_to = [&](NodeId peer, FaceId peer_face) {
+    const std::uint64_t ordinal = next_link_ordinal_++;
+    return HalfLink{peer, peer_face, params, 0, ordinal,
+                    FaultStream(params.faults, fault_seed_, ordinal)};
+  };
+  fa.push_back(half_to(b.id(), face_b));
+  fb.push_back(half_to(a.id(), face_a));
   return {face_a, face_b};
 }
 
-Network::HalfLink* Network::half(NodeId node, FaceId face) {
-  if (node >= faces_.size() || face >= faces_[node].size()) return nullptr;
-  HalfLink& h = faces_[node][face];
-  return h.connected ? &h : nullptr;
+void Network::set_fault_seed(std::uint64_t seed) {
+  fault_seed_ = seed;
+  for (auto& node_faces : faces_) {
+    for (HalfLink& h : node_faces) {
+      h.faults = FaultStream(h.params.faults, seed, h.ordinal);
+    }
+  }
 }
 
 std::optional<std::pair<NodeId, FaceId>> Network::peer_of(const Node& node,
                                                           FaceId face) const {
-  if (node.id() >= faces_.size() || face >= faces_[node.id()].size()) {
-    return std::nullopt;
-  }
-  const HalfLink& h = faces_[node.id()][face];
-  if (!h.connected) return std::nullopt;
-  return std::make_pair(h.peer_node, h.peer_face);
+  const HalfLink* h = half(node.id(), face);
+  if (h == nullptr) return std::nullopt;
+  return std::make_pair(h->peer_node, h->peer_face);
 }
 
 void Network::record_fault(FaultKind kind, NodeId node, FaceId face,
@@ -65,73 +55,36 @@ void Network::record_fault(FaultKind kind, NodeId node, FaceId face,
 }
 
 void Network::send(const Node& from, FaceId face, PacketBytes packet) {
-  HalfLink* link = half(from.id(), face);
-  if (link == nullptr) {
+  if (half(from.id(), face) == nullptr) {
     ++stats_.dead_faced;
     return;
   }
+  HalfLink* link = &faces_[from.id()][face];
   ++stats_.transmitted;
   stats_.bytes += packet.size();
 
-  if (link->params.loss_rate > 0 && rng_.uniform() < link->params.loss_rate) {
-    ++stats_.lost;
+  // The half-link's fault stream decides; this records what it decided.
+  // Corruption mutates the bytes now but is *counted* only if the packet
+  // actually delivers — a corrupted-then-queue-dropped packet lands in
+  // exactly one ledger bucket (queue_dropped).
+  const NodeId from_node = from.id();
+  const FaultDecision d = link->faults.next(loop_.now(), packet);
+  if (d.blackout) {
+    ++stats_.blackholed;
+    record_fault(FaultKind::kBlackout, from_node, face, d.index, 0);
     return;
   }
-
-  // FaultPlan decisions. Each half-link consumes its own PRNG stream in a
-  // fixed order per packet (drop, duplicate, corrupt, reorder), so the
-  // fault trace is a pure function of (fault seed, topology, traffic).
-  const FaultPlan& plan = link->params.faults;
-  bool duplicate = false;
-  std::uint32_t corrupt_bytes = 0;
-  SimDuration extra_delay = 0;
-  const NodeId from_node = from.id();
-  if (plan.active()) {
-    const std::uint64_t pkt_idx = link->packet_index++;
-    if (!link->fault_rng_seeded) {
-      // SplitMix-style ordinal mix keeps sibling links' streams unrelated.
-      link->fault_rng = crypto::Xoshiro256(
-          fault_seed_ ^ (0x9E3779B97F4A7C15ull * (link->ordinal + 1)));
-      link->fault_rng_seeded = true;
-    }
-    if (plan.in_blackout(loop_.now())) {
-      ++stats_.blackholed;
-      record_fault(FaultKind::kBlackout, from_node, face, pkt_idx, 0);
-      return;
-    }
-    if (plan.drop_rate > 0 && link->fault_rng.uniform() < plan.drop_rate) {
-      ++stats_.lost;
-      record_fault(FaultKind::kDrop, from_node, face, pkt_idx, 0);
-      return;
-    }
-    if (plan.duplicate_rate > 0 &&
-        link->fault_rng.uniform() < plan.duplicate_rate) {
-      duplicate = true;
-    }
-    if (plan.corrupt_rate > 0 && link->fault_rng.uniform() < plan.corrupt_rate &&
-        !packet.empty()) {
-      corrupt_bytes =
-          1 + static_cast<std::uint32_t>(
-                  link->fault_rng.below(std::max<std::uint32_t>(plan.corrupt_max_bytes, 1)));
-    }
-    if (plan.reorder_rate > 0 && link->fault_rng.uniform() < plan.reorder_rate &&
-        plan.reorder_window > 0) {
-      extra_delay = 1 + link->fault_rng.below(plan.reorder_window);
-    }
-    // Corruption mutates the bytes now but is *counted* only if the packet
-    // actually delivers — a corrupted-then-queue-dropped packet lands in
-    // exactly one ledger bucket (queue_dropped).
-    if (corrupt_bytes != 0) {
-      for (std::uint32_t k = 0; k < corrupt_bytes; ++k) {
-        packet[link->fault_rng.below(packet.size())] ^=
-            static_cast<std::uint8_t>(1 + link->fault_rng.below(255));
-      }
-      record_fault(FaultKind::kCorrupt, from_node, face, pkt_idx, corrupt_bytes);
-    }
-    if (duplicate) record_fault(FaultKind::kDuplicate, from_node, face, pkt_idx, 0);
-    if (extra_delay != 0) {
-      record_fault(FaultKind::kReorder, from_node, face, pkt_idx, extra_delay);
-    }
+  if (d.drop) {
+    ++stats_.lost;
+    record_fault(FaultKind::kDrop, from_node, face, d.index, 0);
+    return;
+  }
+  if (d.corrupt_bytes != 0) {
+    record_fault(FaultKind::kCorrupt, from_node, face, d.index, d.corrupt_bytes);
+  }
+  if (d.duplicate) record_fault(FaultKind::kDuplicate, from_node, face, d.index, 0);
+  if (d.extra_delay != 0) {
+    record_fault(FaultKind::kReorder, from_node, face, d.index, d.extra_delay);
   }
 
   // Serialization: the face transmits packets back to back, in order.
@@ -145,34 +98,27 @@ void Network::send(const Node& from, FaceId face, PacketBytes packet) {
     ++stats_.queue_dropped;  // finite buffer: tail drop
     return;
   }
-  const SimTime arrive = start + tx_time + link->params.latency + extra_delay;
+  const SimTime arrive = start + tx_time + link->params.latency + d.extra_delay;
   link->busy_until = start + tx_time;
 
-  const NodeId to_node = link->peer_node;
-  const FaceId to_face = link->peer_face;
-  const bool was_corrupted = corrupt_bytes != 0;
-
-  if (duplicate) {
+  const auto deliver_at = [this, from_node, to_node = link->peer_node,
+                           to_face = link->peer_face,
+                           corrupted = d.corrupt_bytes != 0](SimTime at, PacketBytes bytes) {
+    loop_.schedule_at(at, [=, this, bytes = std::move(bytes)]() mutable {
+      ++stats_.delivered;
+      if (corrupted) ++stats_.corrupted;
+      if (tap_) tap_(from_node, to_node, to_face, bytes, loop_.now());
+      nodes_[to_node]->on_packet(to_face, std::move(bytes), loop_.now());
+    });
+  };
+  if (d.duplicate) {
     // The copy rides back to back behind the original: it occupies the link
     // for another tx_time and skips the queue check the original passed.
     ++stats_.duplicated;
-    const SimTime dup_arrive = arrive + tx_time;
     link->busy_until += tx_time;
-    loop_.schedule_at(dup_arrive, [this, from_node, to_node, to_face, was_corrupted,
-                                   packet]() mutable {
-      ++stats_.delivered;
-      if (was_corrupted) ++stats_.corrupted;
-      if (tap_) tap_(from_node, to_node, to_face, packet, loop_.now());
-      nodes_[to_node]->on_packet(to_face, std::move(packet), loop_.now());
-    });
+    deliver_at(arrive + tx_time, packet);
   }
-  loop_.schedule_at(arrive, [this, from_node, to_node, to_face, was_corrupted,
-                             packet = std::move(packet)]() mutable {
-    ++stats_.delivered;
-    if (was_corrupted) ++stats_.corrupted;
-    if (tap_) tap_(from_node, to_node, to_face, packet, loop_.now());
-    nodes_[to_node]->on_packet(to_face, std::move(packet), loop_.now());
-  });
+  deliver_at(arrive, std::move(packet));
 }
 
 void Network::write_stats(telemetry::StatsWriter& w) const {

@@ -6,12 +6,13 @@
 //
 // Keys are 64-bit name codes (the data plane carries a 32-bit compressed
 // name, § 4.1; 64 bits leaves headroom for wider name fields). Entries
-// expire after an interest lifetime; expiry is amortized via a lazy min-heap.
+// expire after an interest lifetime; expiry is amortized via a lazy min-heap
+// that is rebuilt from the live table whenever stale items (consumed or
+// refreshed entries) outnumber live ones, so it stays O(live entries).
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -57,6 +58,11 @@ class Pit {
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
+  /// Items in the lazy expiry heap, stale ones included. After every
+  /// record_interest it is at most 2 * size() + kHeapSlack.
+  [[nodiscard]] std::size_t heap_size() const noexcept { return expiry_heap_.size(); }
+  static constexpr std::size_t kHeapSlack = 64;
+
  private:
   struct Entry {
     std::vector<FaceId> in_faces;
@@ -71,9 +77,13 @@ class Pit {
     }
   };
 
+  /// Push `name_code`'s current expiry, or rebuild the heap from entries_
+  /// when stale items would outnumber live ones (amortized O(1)).
+  void track_expiry(SimTime expiry, std::uint64_t name_code);
+
   Config config_;
   std::unordered_map<std::uint64_t, Entry> entries_;
-  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> expiry_heap_;
+  std::vector<HeapItem> expiry_heap_;  ///< min-heap on expiry (std::greater)
 };
 
 }  // namespace dip::pit

@@ -1,6 +1,7 @@
 #include "dip/pit/pit.hpp"
 
 #include <algorithm>
+#include <functional>
 
 namespace dip::pit {
 
@@ -23,7 +24,7 @@ std::optional<InterestResult> Pit::record_interest(std::uint64_t name_code, Face
     entry.in_faces.push_back(face);
     entry.expiry = now + config_.entry_lifetime;
     entries_.emplace(name_code, std::move(entry));
-    expiry_heap_.push({now + config_.entry_lifetime, name_code});
+    track_expiry(now + config_.entry_lifetime, name_code);
     return InterestResult::kCreated;
   }
 
@@ -35,7 +36,7 @@ std::optional<InterestResult> Pit::record_interest(std::uint64_t name_code, Face
   entry.in_faces.push_back(face);
   // Refresh lifetime: any aggregated interest keeps the entry alive.
   entry.expiry = now + config_.entry_lifetime;
-  expiry_heap_.push({entry.expiry, name_code});
+  track_expiry(entry.expiry, name_code);
   return InterestResult::kAggregated;
 }
 
@@ -55,11 +56,26 @@ bool Pit::has_entry(std::uint64_t name_code, SimTime now) const {
   return it != entries_.end() && it->second.expiry > now;
 }
 
+void Pit::track_expiry(SimTime expiry, std::uint64_t name_code) {
+  if (expiry_heap_.size() + 1 > 2 * entries_.size() + kHeapSlack) {
+    // Consumed and refreshed entries leave stale items that only expire()
+    // (run when the table is full) would pop: rebuild from the live table,
+    // which already holds `name_code` at its current expiry.
+    expiry_heap_.clear();
+    for (const auto& [name, entry] : entries_) expiry_heap_.push_back({entry.expiry, name});
+    std::make_heap(expiry_heap_.begin(), expiry_heap_.end(), std::greater<>{});
+    return;
+  }
+  expiry_heap_.push_back({expiry, name_code});
+  std::push_heap(expiry_heap_.begin(), expiry_heap_.end(), std::greater<>{});
+}
+
 std::size_t Pit::expire(SimTime now) {
   std::size_t removed = 0;
-  while (!expiry_heap_.empty() && expiry_heap_.top().expiry <= now) {
-    const HeapItem item = expiry_heap_.top();
-    expiry_heap_.pop();
+  while (!expiry_heap_.empty() && expiry_heap_.front().expiry <= now) {
+    std::pop_heap(expiry_heap_.begin(), expiry_heap_.end(), std::greater<>{});
+    const HeapItem item = expiry_heap_.back();
+    expiry_heap_.pop_back();
     const auto it = entries_.find(item.name_code);
     // Lazy deletion: the heap may hold stale items for refreshed or
     // already-consumed entries; only honor an exact expiry match.

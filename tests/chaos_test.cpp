@@ -19,6 +19,7 @@
 #include "dip/host/host_engine.hpp"
 #include "dip/host/ndn_app.hpp"
 #include "dip/host/retry.hpp"
+#include "dip/mesh/control.hpp"
 #include "dip/ndn/ndn.hpp"
 #include "dip/netsim/topology.hpp"
 #include "dip/opt/opt.hpp"
@@ -564,12 +565,12 @@ TEST(Chaos, CustodyRecoveryKeepsConservationLedgerBalanced) {
   const auto fa = net.connect(a, r1).first;
   const auto f12 = net.connect(r1, r2, middle).first;
   const auto [f2b, fb] = net.connect(r2, b);
-  r1.env().fib32->insert(dtn::custody_prefix(100), f12);
-  r2.env().fib32->insert(dtn::custody_prefix(100), f2b);
+  r1.env().fib32->insert(mesh::prefix_of(100), f12);
+  r2.env().fib32->insert(mesh::prefix_of(100), f2b);
 
   dtn::BundleSender::Config sc;
-  sc.self = dtn::custody_addr(99);
-  sc.dst = dtn::custody_addr(100);
+  sc.self = mesh::addr_of(99);
+  sc.dst = mesh::addr_of(100);
   sc.node_id = 99;
   sc.custody_key = key;
   sc.frag_payload = 48;
@@ -579,7 +580,7 @@ TEST(Chaos, CustodyRecoveryKeepsConservationLedgerBalanced) {
   });
 
   dtn::BundleReceiver::Config bc;
-  bc.self = dtn::custody_addr(100);
+  bc.self = mesh::addr_of(100);
   bc.custody_key = key;
   std::map<std::uint32_t, std::vector<std::uint8_t>> delivered;
   dtn::BundleReceiver receiver(b, fb, bc,

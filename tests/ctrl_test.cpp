@@ -8,8 +8,12 @@
 // clean (scripts/check.sh runs this binary in the TSan leg).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <vector>
 
 #include "dip/core/ip.hpp"
@@ -17,6 +21,8 @@
 #include "dip/ctrl/control_plane.hpp"
 #include "dip/ctrl/journal.hpp"
 #include "dip/ctrl/snapshot.hpp"
+#include "dip/ctrl/spf.hpp"
+#include "dip/crypto/random.hpp"
 #include "dip/fib/address.hpp"
 #include "dip/fib/tree_bitmap.hpp"
 #include "dip/netsim/topology.hpp"
@@ -305,6 +311,188 @@ TEST(DefaultEngine, ControlPlanePublishesTreeBitmaps) {
   EXPECT_TRUE(is_tree_bitmap(seeded.env().control->fib32.read()));
   EXPECT_TRUE(is_tree_bitmap(seeded.env().control->fib128.read()));
   EXPECT_TRUE(is_tree_bitmap(bare.env().control->fib32.read()));
+}
+
+// ---------------------------------------------------------------------------
+// Shared SPF (ctrl::first_hops) against a brute-force all-pairs BFS oracle,
+// directly and through the ControlPlane's route installation.
+// ---------------------------------------------------------------------------
+
+/// Hop distances over `adj` from every node that appears in it (as key or
+/// neighbour); dist[a][b] absent = unreachable. Leaves without an entry
+/// have no outgoing edges, so they are never transit.
+std::map<std::uint32_t, std::map<std::uint32_t, std::size_t>> all_pairs(
+    const ctrl::Adjacency& adj) {
+  std::set<std::uint32_t> nodes;
+  for (const auto& [u, ns] : adj) {
+    nodes.insert(u);
+    nodes.insert(ns.begin(), ns.end());
+  }
+  std::map<std::uint32_t, std::map<std::uint32_t, std::size_t>> dist;
+  for (const std::uint32_t src : nodes) {
+    auto& d = dist[src];
+    d[src] = 0;
+    std::vector<std::uint32_t> layer{src};
+    for (std::size_t hops = 1; !layer.empty(); ++hops) {
+      std::vector<std::uint32_t> next;
+      for (const std::uint32_t u : layer) {
+        const auto it = adj.find(u);
+        if (it == adj.end()) continue;
+        for (const std::uint32_t v : it->second) {
+          if (d.emplace(v, hops).second) next.push_back(v);
+        }
+      }
+      layer = std::move(next);
+    }
+  }
+  return dist;
+}
+
+/// The oracle's first hop from `self` to `dest`: the lowest-id neighbour
+/// at distance d - 1 from `dest`; nullopt if `dest` is unreachable.
+std::optional<std::uint32_t> oracle_first_hop(
+    const ctrl::Adjacency& adj,
+    const std::map<std::uint32_t, std::map<std::uint32_t, std::size_t>>& dist,
+    std::uint32_t self, std::uint32_t dest) {
+  const auto d = dist.at(self).find(dest);
+  if (d == dist.at(self).end() || d->second == 0) return std::nullopt;
+  for (const std::uint32_t n : adj.at(self)) {  // ascending
+    const auto& from_n = dist.at(n);
+    const auto dn = from_n.find(dest);
+    if (dn != from_n.end() && dn->second + 1 == d->second) return n;
+  }
+  ADD_FAILURE() << "no neighbour on a shortest path";
+  return std::nullopt;
+}
+
+TEST(Spf, FirstHopsMatchAllPairsOracleOnRandomGraphs) {
+  crypto::Xoshiro256 rng(0x5BF);
+  for (int graph = 0; graph < 200; ++graph) {
+    // Scattered node ids so id order differs from creation order; routed
+    // nodes link both ways (with repeats: parallel links), leaves only
+    // appear as someone's neighbour.
+    const std::size_t routed = 2 + rng.below(10);
+    std::vector<std::uint32_t> ids;
+    while (ids.size() < routed) {
+      const auto id = static_cast<std::uint32_t>(1 + rng.below(60));
+      if (std::find(ids.begin(), ids.end(), id) == ids.end()) ids.push_back(id);
+    }
+    ctrl::Adjacency adj;
+    for (const std::uint32_t id : ids) adj[id];
+    const std::size_t links = rng.below(routed * 2 + 1);
+    for (std::size_t l = 0; l < links; ++l) {
+      const std::uint32_t a = ids[rng.below(ids.size())];
+      const std::uint32_t b = ids[rng.below(ids.size())];
+      if (a == b) continue;
+      adj[a].insert(b);
+      adj[b].insert(a);
+    }
+    for (std::uint32_t leaf = 100; leaf < 100 + rng.below(4); ++leaf) {
+      adj[ids[rng.below(ids.size())]].insert(leaf);
+    }
+
+    const auto dist = all_pairs(adj);
+    for (const std::uint32_t self : ids) {
+      const auto hops = ctrl::first_hops(adj, self);
+      for (const auto& [dest, d] : dist.at(self)) {
+        const auto want = oracle_first_hop(adj, dist, self, dest);
+        const auto got = hops.find(dest);
+        if (!want) {
+          EXPECT_EQ(got, hops.end()) << "graph " << graph << " " << self << "->" << dest;
+          continue;
+        }
+        ASSERT_NE(got, hops.end()) << "graph " << graph << " " << self << "->" << dest;
+        EXPECT_EQ(got->second, *want) << "graph " << graph << " " << self << "->" << dest;
+      }
+      for (const auto& [dest, hop] : hops) {
+        EXPECT_TRUE(dist.at(self).contains(dest)) << "routed an unreachable node";
+      }
+    }
+  }
+}
+
+TEST(ControlPlane, InstalledRoutesMatchSpfOracleOnRandomGraphs) {
+  // Managed routers with random (parallel) links, plus unmanaged nodes: host
+  // leaves and unmanaged routers bridging two managed ones. Every managed
+  // router anchors 10.<id>/16. Each installed route must leave through the
+  // lowest face toward the oracle's first hop, and no route may cross an
+  // unmanaged node.
+  crypto::Xoshiro256 rng(0xC7A1);
+  const auto registry = netsim::make_default_registry();
+  constexpr core::FaceId kDelivery = 999;
+  const auto prefix_of = [](netsim::NodeId n) {
+    return fib::Prefix<32>{fib::ipv4_from_u32((10u << 24) | (n << 16)), 16};
+  };
+  for (int graph = 0; graph < 200; ++graph) {
+    netsim::Network net;
+    std::vector<std::unique_ptr<netsim::DipRouterNode>> routers;
+    std::vector<std::unique_ptr<netsim::HostNode>> hosts;
+    const std::size_t managed = 2 + rng.below(6);
+    const std::size_t unmanaged = rng.below(3);
+    for (std::size_t i = 0; i < managed + unmanaged; ++i) {
+      auto env = netsim::make_basic_env(static_cast<std::uint32_t>(i));
+      env.default_egress.reset();
+      routers.push_back(std::make_unique<netsim::DipRouterNode>(std::move(env), registry));
+      net.add_node(*routers.back());
+    }
+    const auto pick = [&] { return rng.below(managed); };
+    ctrl::Adjacency adj;
+    std::map<std::pair<netsim::NodeId, netsim::NodeId>, netsim::FaceId> lowest_face;
+    const std::size_t links = rng.below(managed * 2 + 1);
+    for (std::size_t l = 0; l < links; ++l) {
+      const std::size_t a = pick();
+      const std::size_t b = pick();
+      if (a == b) continue;
+      const auto [fa, fb] = net.connect(*routers[a], *routers[b]);
+      const auto ida = routers[a]->id();
+      const auto idb = routers[b]->id();
+      adj[ida].insert(idb);
+      adj[idb].insert(ida);
+      lowest_face.emplace(std::pair{ida, idb}, fa);  // first connect = lowest face
+      lowest_face.emplace(std::pair{idb, ida}, fb);
+    }
+    for (std::size_t u = managed; u < managed + unmanaged; ++u) {
+      net.connect(*routers[u], *routers[pick()]);
+      net.connect(*routers[u], *routers[pick()]);
+    }
+    for (std::size_t h = 0; h < rng.below(3); ++h) {
+      auto& host = *hosts.emplace_back(std::make_unique<netsim::HostNode>());
+      net.add_node(host);
+      net.connect(host, *routers[pick()]);
+    }
+
+    ctrl::ControlPlane cp(net);
+    for (std::size_t i = 0; i < managed; ++i) {
+      cp.manage(*routers[i]);
+      cp.add_destination(prefix_of(routers[i]->id()), routers[i]->id(), kDelivery);
+    }
+    cp.refresh(/*force=*/true);
+
+    for (std::size_t i = 0; i < managed; ++i) adj[routers[i]->id()];
+    const auto dist = all_pairs(adj);
+    for (std::size_t i = 0; i < managed; ++i) {
+      const netsim::NodeId self = routers[i]->id();
+      const fib::Ipv4Lpm* fib = routers[i]->env().control->fib32.read();
+      for (std::size_t j = 0; j < managed; ++j) {
+        const netsim::NodeId dest = routers[j]->id();
+        const fib::Ipv4Addr probe =
+            fib::ipv4_from_u32(fib::ipv4_to_u32(prefix_of(dest).addr) | 1);
+        const auto nh = fib != nullptr ? fib->lookup(probe) : std::nullopt;
+        if (dest == self) {
+          EXPECT_EQ(nh, kDelivery) << "graph " << graph;
+          continue;
+        }
+        const auto want = oracle_first_hop(adj, dist, self, dest);
+        if (!want) {
+          EXPECT_EQ(nh, std::nullopt) << "graph " << graph << " " << self << "->" << dest;
+          continue;
+        }
+        ASSERT_TRUE(nh.has_value()) << "graph " << graph << " " << self << "->" << dest;
+        EXPECT_EQ(*nh, lowest_face.at({self, *want}))
+            << "graph " << graph << " " << self << "->" << dest;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

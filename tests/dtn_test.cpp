@@ -16,6 +16,7 @@
 //     geometry-conflicting fragments, strict vs lenient;
 //   * mesh — a 3x3 torus soak through a blackout window with the
 //     conservation ledger balanced at quiescence.
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -25,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dip/core/builder.hpp"
 #include "dip/core/ip.hpp"
 #include "dip/core/router.hpp"
 #include "dip/crypto/random.hpp"
@@ -35,11 +37,14 @@
 #include "dip/dtn/retx_sched.hpp"
 #include "dip/dtn/store.hpp"
 #include "dip/host/retry.hpp"
+#include "dip/mesh/control.hpp"
 #include "dip/mesh/event_loop.hpp"
 #include "dip/mesh/mesh_net.hpp"
+#include "dip/ndn/ndn.hpp"
 #include "dip/netsim/dip_node.hpp"
 #include "dip/netsim/network.hpp"
 #include "dip/netsim/topology.hpp"
+#include "dip/security/error_message.hpp"
 #include "dip/telemetry/exposition.hpp"
 
 namespace dip {
@@ -83,7 +88,7 @@ std::vector<std::uint8_t> frag_packet(const fib::Ipv4Addr& dst, std::uint32_t bu
   frag.total = total;
   frag.bundle_id = bundle;
   const auto header = dtn::make_dip32_custody_header(
-      dst, dtn::custody_addr(custodian), fresh_tag(bundle, custodian), frag, key);
+      dst, mesh::addr_of(custodian), fresh_tag(bundle, custodian), frag, key);
   EXPECT_TRUE(header.has_value());
   std::vector<std::uint8_t> wire = header->serialize();
   wire.insert(wire.end(), payload.begin(), payload.end());
@@ -158,13 +163,13 @@ TEST(DtnWire, FragInfoRoundTripsAndKeysAreUnique) {
 }
 
 TEST(DtnWire, Dip32CustodyCompositionCarriesBothFields) {
-  const auto dst = dtn::custody_addr(100);
+  const auto dst = mesh::addr_of(100);
   dtn::FragInfo frag;
   frag.index = 2;
   frag.total = 5;
   frag.bundle_id = 9;
   const auto header = dtn::make_dip32_custody_header(
-      dst, dtn::custody_addr(42), fresh_tag(9, 42), frag, test_key());
+      dst, mesh::addr_of(42), fresh_tag(9, 42), frag, test_key());
   ASSERT_TRUE(header.has_value());
 
   ASSERT_TRUE(dtn::find_custody_field(header->fns).has_value());
@@ -200,7 +205,7 @@ TEST(DtnOps, CustodyOpAcceptsRewritesChainAndReMacs) {
   CustodyRig rig(/*node=*/7);
   std::vector<std::uint8_t> payload{'d', 't', 'n'};
   auto packet =
-      frag_packet(dtn::custody_addr(100), /*bundle=*/5, 0, 1, payload, test_key(), 42);
+      frag_packet(mesh::addr_of(100), /*bundle=*/5, 0, 1, payload, test_key(), 42);
 
   const auto result = rig.router->process(packet, 0, 0);
   EXPECT_EQ(result.action, core::Action::kForward);
@@ -236,7 +241,7 @@ TEST(DtnOps, CustodyOpAcceptsRewritesChainAndReMacs) {
 
 TEST(DtnOps, CustodyOpCarriesUntouchedOnNonAcceptingNode) {
   CustodyRig rig(/*node=*/7, /*accept=*/false);
-  auto packet = frag_packet(dtn::custody_addr(100), 5, 0, 1, {}, test_key(), 42);
+  auto packet = frag_packet(mesh::addr_of(100), 5, 0, 1, {}, test_key(), 42);
   const std::size_t at = tag_offset(packet);
   const std::vector<std::uint8_t> before(packet.begin() + static_cast<std::ptrdiff_t>(at),
                                          packet.begin() +
@@ -257,7 +262,7 @@ TEST(DtnOps, CustodyOpCarriesAcksWithoutRewriting) {
   dtn::FragInfo frag;
   frag.bundle_id = 5;
   const auto ack = dtn::make_custody_ack_header(
-      dtn::custody_addr(42), dtn::custody_addr(8), fresh_tag(5, 8), frag, test_key());
+      mesh::addr_of(42), mesh::addr_of(8), fresh_tag(5, 8), frag, test_key());
   ASSERT_TRUE(ack.has_value());
   auto packet = ack->serialize();
   const std::size_t at = tag_offset(packet);
@@ -274,7 +279,7 @@ TEST(DtnOps, CustodyOpCarriesAcksWithoutRewriting) {
 
 TEST(DtnOps, CustodyOpDropsForgedMacAsAuthFailed) {
   CustodyRig rig(/*node=*/7);
-  auto packet = frag_packet(dtn::custody_addr(100), 5, 0, 1, {}, test_key(), 42);
+  auto packet = frag_packet(mesh::addr_of(100), 5, 0, 1, {}, test_key(), 42);
   packet[tag_offset(packet) + 16] ^= 0x40;  // first MAC byte
 
   const auto result = rig.router->process(packet, 0, 0);
@@ -285,7 +290,7 @@ TEST(DtnOps, CustodyOpDropsForgedMacAsAuthFailed) {
 TEST(DtnOps, CustodyOpRejectsShortFieldAsMalformed) {
   CustodyRig rig(/*node=*/7);
   core::HeaderBuilder b;
-  b.add_router_fn(core::OpKey::kMatch32, dtn::custody_addr(100).bytes);
+  b.add_router_fn(core::OpKey::kMatch32, mesh::addr_of(100).bytes);
   const auto short_field = crypto::Xoshiro256(1).block();  // 16 < 32 bytes
   b.add_router_fn(core::OpKey::kCustody, short_field);
   const auto header = b.build();
@@ -301,7 +306,7 @@ TEST(DtnOps, BundleFragOpBoundsChecksGeometry) {
   // Good geometry forwards.
   {
     CustodyRig rig(7);
-    auto packet = frag_packet(dtn::custody_addr(100), 5, 3, 8, {}, test_key(), 42);
+    auto packet = frag_packet(mesh::addr_of(100), 5, 3, 8, {}, test_key(), 42);
     EXPECT_EQ(rig.router->process(packet, 0, 0).action, core::Action::kForward);
   }
   // total == 0 and index >= total are malformed.
@@ -311,7 +316,7 @@ TEST(DtnOps, BundleFragOpBoundsChecksGeometry) {
         std::pair<std::uint16_t, std::uint16_t>{9, 4}}) {
     CustodyRig rig(7);
     auto packet =
-        frag_packet(dtn::custody_addr(100), 5, index, total, {}, test_key(), 42);
+        frag_packet(mesh::addr_of(100), 5, index, total, {}, test_key(), 42);
     const auto result = rig.router->process(packet, 0, 0);
     EXPECT_EQ(result.action, core::Action::kDrop) << index << "/" << total;
     EXPECT_EQ(result.reason, core::DropReason::kMalformed) << index << "/" << total;
@@ -476,12 +481,12 @@ struct BlackoutRig {
     fb = fb_;
     // Route the receiver prefix forward; custody ACKs travel back out the
     // ingress face (the §2.4 reverse-path seam) and need no FIB entries.
-    r1.env().fib32->insert(dtn::custody_prefix(100), f12);
-    r2.env().fib32->insert(dtn::custody_prefix(100), f2b);
+    r1.env().fib32->insert(mesh::prefix_of(100), f12);
+    r2.env().fib32->insert(mesh::prefix_of(100), f2b);
 
     dtn::BundleSender::Config sc;
-    sc.self = dtn::custody_addr(99);
-    sc.dst = dtn::custody_addr(100);
+    sc.self = mesh::addr_of(99);
+    sc.dst = mesh::addr_of(100);
     sc.node_id = 99;
     sc.custody_key = test_key();
     sc.frag_payload = 48;
@@ -492,7 +497,7 @@ struct BlackoutRig {
     });
 
     dtn::BundleReceiver::Config bc;
-    bc.self = dtn::custody_addr(100);
+    bc.self = mesh::addr_of(100);
     bc.custody_key = test_key();
     receiver.emplace(b, fb, bc, [this](std::uint32_t id, std::vector<std::uint8_t> p) {
       delivered[id] = std::move(p);
@@ -596,6 +601,116 @@ TEST(DtnNetsim, StoreFullRefusalsUnderChaosNeverLoseCommittedBundles) {
             0u);
 }
 
+TEST(DtnNetsim, ExhaustedCustodyGoesQuietAndStaysHeld) {
+  // The middle link never comes back: R1 retransmits until its retry
+  // budget is spent, then stops arming timers (the run ends) and keeps the
+  // fragment, evictable only under store pressure.
+  netsim::LinkParams middle;
+  middle.faults.blackout_period = 600 * kSecond;
+  middle.faults.blackout_duration = 600 * kSecond;
+  dtn::CustodyRouterNode::Config r1_config;
+  r1_config.limits.max_retries = 2;
+  BlackoutRig rig(middle, r1_config);
+
+  rig.sender->send(std::vector<std::uint8_t>(40, 0x11));  // one fragment
+  rig.net.run();
+
+  EXPECT_EQ(rig.sender->committed(), 1u);
+  EXPECT_TRUE(rig.delivered.empty());
+  EXPECT_EQ(rig.r1.store().bundles(), 1u);
+  EXPECT_EQ(rig.r1.store().stats().retransmissions, 2u);
+  EXPECT_EQ(rig.r1.store().stats().evicted, 0u);
+}
+
+// ---- netsim: the custody node's non-custody verdicts -----------------------
+
+/// host A -- custody router R (node 1) -- host B, R routing 10/8 toward B.
+struct VerdictRig {
+  VerdictRig() : registry(custody_registry()), r(make_env(), registry) {
+    net.add_node(a);
+    net.add_node(r);
+    net.add_node(b);
+    fa = net.connect(a, r).first;
+    const auto [frb, fb_] = net.connect(r, b);
+    r.env().fib32->insert({fib::ipv4_from_u32(0x0A000000), 8}, frb);
+    a.set_receiver([this](netsim::FaceId, netsim::PacketBytes p, SimTime) {
+      at_a.push_back(std::move(p));
+    });
+  }
+
+  static core::RouterEnv make_env() {
+    auto env = custody_env(1, test_key());
+    env.content_store.emplace(16);
+    return env;
+  }
+
+  netsim::Network net{11};
+  netsim::HostNode a, b;
+  std::shared_ptr<core::OpRegistry> registry;
+  dtn::CustodyRouterNode r;
+  netsim::FaceId fa = 0;
+  std::vector<netsim::PacketBytes> at_a;
+};
+
+TEST(DtnNode, CacheHitAnswersTheInterestWithData) {
+  // Footnote 2 on a custody router: the content store answers the interest
+  // back out the ingress face — with a data packet, not the interest.
+  VerdictRig rig;
+  constexpr std::uint32_t kName = 0x0BADCAFE;
+  const std::vector<std::uint8_t> content{'c', 'a', 'c', 'h', 'e', 'd'};
+  rig.r.env().content_store->insert(kName, content);
+
+  const auto interest = ndn::make_interest_header32(kName);
+  ASSERT_TRUE(interest.has_value());
+  rig.a.send(rig.fa, interest->serialize());
+  rig.net.run();
+
+  const auto data_header = ndn::make_data_header32(kName, core::NextHeader::kNone);
+  ASSERT_TRUE(data_header.has_value());
+  netsim::PacketBytes expected = data_header->serialize();
+  expected.insert(expected.end(), content.begin(), content.end());
+  ASSERT_EQ(rig.at_a.size(), 1u);
+  EXPECT_EQ(rig.at_a[0], expected);
+  EXPECT_EQ(rig.b.received(), 0u);
+}
+
+TEST(DtnNode, PathCriticalUnsupportedFnNotifiesTheSourceAndCountsTheDrop) {
+  VerdictRig rig;
+  rig.r.env().disabled_keys.insert(core::OpKey::kMac);
+
+  // DIP-32 plus the OPT chain, which this router cannot run (§2.4).
+  core::HeaderBuilder builder;
+  builder.add_router_fn(core::OpKey::kMatch32, mesh::addr_of(100).bytes);
+  builder.add_router_fn(core::OpKey::kSource, mesh::addr_of(99).bytes);
+  std::array<std::uint8_t, 68> opt_block{};
+  const std::uint16_t loc = builder.add_location(opt_block);
+  builder.add_fn(core::FnTriple::router(loc + 128, 128, core::OpKey::kParm));
+  builder.add_fn(core::FnTriple::router(loc, 416, core::OpKey::kMac));
+  builder.add_fn(core::FnTriple::router(loc + 288, 128, core::OpKey::kMark));
+  const auto header = builder.build();
+  ASSERT_TRUE(header.has_value());
+  rig.a.send(rig.fa, header->serialize());
+  rig.net.run();
+
+  ASSERT_EQ(rig.at_a.size(), 1u) << "the notification returns out the ingress face";
+  const auto back = core::DipHeader::parse(rig.at_a[0]);
+  ASSERT_TRUE(back.has_value());
+  ASSERT_TRUE(security::is_fn_unsupported(*back));
+  const auto body = security::FnUnsupportedError::parse(
+      std::span<const std::uint8_t>(rig.at_a[0]).subspan(back->wire_size()));
+  ASSERT_TRUE(body.has_value());
+  EXPECT_EQ(body->offending_key, core::OpKey::kMac);
+  EXPECT_EQ(body->reporter_node, 1u);
+  EXPECT_EQ(rig.r.drops(core::DropReason::kUnsupportedFn), 1u);
+  EXPECT_EQ(rig.b.received(), 0u);
+
+  telemetry::StatsWriter w;
+  rig.r.write_stats(w);
+  EXPECT_NE(w.text().find("dip_node_drops_total{node=\"1\",reason=\"unsupported-fn\"} 1"),
+            std::string::npos)
+      << w.text();
+}
+
 // ---- host reassembly ------------------------------------------------------
 
 struct ReceiverRig {
@@ -604,7 +719,7 @@ struct ReceiverRig {
     net.add_node(sink);
     const auto [frx_, fs] = net.connect(rx, sink);
     dtn::BundleReceiver::Config cfg;
-    cfg.self = dtn::custody_addr(100);
+    cfg.self = mesh::addr_of(100);
     cfg.custody_key = test_key();
     cfg.strict = strict;
     receiver.emplace(rx, frx_, cfg, [this](std::uint32_t id, std::vector<std::uint8_t> p) {
@@ -615,7 +730,7 @@ struct ReceiverRig {
   std::vector<std::uint8_t> frag(std::uint32_t bundle, std::uint16_t index,
                                  std::uint16_t total,
                                  std::span<const std::uint8_t> payload) {
-    return frag_packet(dtn::custody_addr(100), bundle, index, total, payload,
+    return frag_packet(mesh::addr_of(100), bundle, index, total, payload,
                        test_key(), /*custodian=*/7);
   }
 
@@ -774,6 +889,60 @@ TEST(DtnMesh, TorusCustodySoakRecoversEveryBundleThroughBlackout) {
   fleet.write_stats(w);
   EXPECT_NE(w.text().find("dip_dtn_fragments_delivered_total"), std::string::npos);
   EXPECT_NE(w.text().find("dip_dtn_bundles_completed"), std::string::npos);
+}
+
+TEST(DtnMesh, FullStoreRefusesWithoutForwardingOrAckingAndEveryBundleRecovers) {
+  // 0 -- 1 -- 2 on clean links, every store capped at 2 fragments. Two
+  // 4-fragment bundles cross router 1 in opposite directions at once, so
+  // both sources and the shared transit refuse admissions. A refused
+  // fragment is dropped unACKed; its previous custodian (or the source
+  // application) offers it again, so each fragment reaches its destination
+  // exactly once and every bundle still completes.
+  mesh::ManualClock clock;
+  mesh::MeshConfig cfg;
+  cfg.use_mock = true;
+  cfg.clock = &clock;
+  cfg.registry = dtn::MeshCustodyFleet::make_registry();
+  mesh::MeshNet net(cfg);
+  net.build_line(3);
+  ASSERT_TRUE(net.discover(kSecond));
+  ASSERT_GT(net.recompute_routes(), 0u);
+
+  dtn::MeshCustodyFleet::Config fleet_cfg;
+  fleet_cfg.custody_key = test_key();
+  fleet_cfg.frag_payload = 64;
+  fleet_cfg.limits.max_bundles = 2;
+  dtn::MeshCustodyFleet fleet(net, fleet_cfg);
+
+  const std::vector<std::uint8_t> payload(4 * 64, 0x5A);
+  const std::uint32_t east = fleet.send(0, 2, payload);
+  const std::uint32_t west = fleet.send(2, 0, payload);
+  net.loop().run_until_idle();
+  EXPECT_TRUE(net.drain(clock, 60 * kSecond));
+
+  EXPECT_TRUE(fleet.bundle_complete(east));
+  EXPECT_TRUE(fleet.bundle_complete(west));
+  EXPECT_TRUE(fleet.stores_empty());
+  EXPECT_EQ(fleet.fragments_delivered(), 8u);
+
+  // The transit store refused admissions and never held more than its cap.
+  const dtn::CustodyStoreStats& transit = fleet.store(1).stats();
+  EXPECT_GT(transit.refused_full, 0u);
+  EXPECT_LE(transit.bundles_high_water, 2u);
+  EXPECT_EQ(transit.evicted, 0u);
+  EXPECT_GE(fleet.custody_drops(), transit.refused_full);
+  // Not forwarded: a refused fragment never reached the destination, so
+  // none arrived twice (the clean links duplicate nothing).
+  EXPECT_EQ(fleet.duplicate_fragments(), 0u);
+  // Not ACKed: every ACK router 1 sent answers a fragment its store took.
+  // Its ACKs reach the sources, which release exactly what they committed.
+  for (const std::size_t src : {std::size_t{0}, std::size_t{2}}) {
+    const dtn::CustodyStoreStats& s = fleet.store(src).stats();
+    EXPECT_EQ(s.released, s.commits) << "source " << src;
+    EXPECT_EQ(s.duplicate_acks, 0u) << "source " << src;
+  }
+  EXPECT_EQ(transit.released, transit.commits);
+  EXPECT_TRUE(net.ledger_balanced());
 }
 
 }  // namespace

@@ -13,8 +13,11 @@
 //     are thread-confined, datagrams are the only channel).
 #include <atomic>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <span>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -24,13 +27,14 @@
 #include "dip/mesh/control.hpp"
 #include "dip/mesh/event_loop.hpp"
 #include "dip/mesh/frame.hpp"
-#include "dip/mesh/impair.hpp"
 #include "dip/mesh/mesh_net.hpp"
 #include "dip/mesh/node.hpp"
 #include "dip/mesh/socket.hpp"
 #include "dip/mesh/traffic.hpp"
 #include "dip/ndn/ndn.hpp"
 #include "dip/netsim/dip_node.hpp"
+#include "dip/netsim/faults.hpp"
+#include "dip/netsim/network.hpp"
 #include "dip/telemetry/exposition.hpp"
 
 namespace dip::mesh {
@@ -344,26 +348,65 @@ TEST(MeshImpair, DecisionsAreDeterministicPerSeedAndOrdinal) {
   plan.corrupt_rate = 0.1;
   plan.reorder_rate = 0.25;
   plan.reorder_window = 5 * kMillisecond;
+  constexpr int kPackets = 256;
 
-  const auto trace = [&](std::uint64_t seed, std::uint32_t ordinal) {
-    LinkImpairer imp(plan, seed, ordinal);
-    std::vector<std::tuple<bool, bool, bool, std::uint32_t, std::uint64_t>> t;
-    for (int i = 0; i < 256; ++i) {
+  const auto decide = [&](std::uint64_t seed, std::uint32_t ordinal) {
+    netsim::FaultStream stream(plan, seed, ordinal);
+    std::vector<netsim::FaultDecision> t;
+    for (int i = 0; i < kPackets; ++i) {
       PacketBytes pkt(32, static_cast<std::uint8_t>(i));
-      const ImpairDecision d = imp.next(/*now_ns=*/0, pkt);
-      t.emplace_back(d.blackout, d.drop, d.duplicate, d.corrupt_bytes,
-                     d.extra_delay_ns);
+      t.push_back(stream.next(/*now=*/0, pkt));
     }
     return t;
   };
+  const auto key = [](const std::vector<netsim::FaultDecision>& t) {
+    std::vector<std::tuple<bool, bool, bool, std::uint32_t, std::uint64_t>> k;
+    for (const auto& d : t) {
+      k.emplace_back(d.blackout, d.drop, d.duplicate, d.corrupt_bytes, d.extra_delay);
+    }
+    return k;
+  };
 
-  const auto a = trace(42, 7);
-  const auto b = trace(42, 7);
-  const auto c = trace(42, 8);
-  const auto d = trace(43, 7);
-  EXPECT_EQ(a, b);  // same seed + ordinal: bit-identical decision stream
-  EXPECT_NE(a, c);  // sibling half-link draws an independent stream
-  EXPECT_NE(a, d);  // different mesh seed
+  const auto a = decide(42, 7);
+  EXPECT_EQ(key(a), key(decide(42, 7)));  // same seed + ordinal: bit-identical
+  EXPECT_NE(key(a), key(decide(42, 8)));  // sibling half-link: independent stream
+  EXPECT_NE(key(a), key(decide(43, 7)));  // different mesh seed
+
+  // The same plan, seed and ordinal on a netsim link records a fault trace
+  // that is exactly this stream's decisions: half-link ordinals count up
+  // per connect(), so the eighth half-link is the second half of the
+  // fourth link.
+  netsim::Network net(/*seed=*/42);
+  std::vector<std::unique_ptr<netsim::HostNode>> hosts;
+  netsim::FaceId face = 0;
+  for (int link = 0; link < 4; ++link) {
+    auto& x = *hosts.emplace_back(std::make_unique<netsim::HostNode>());
+    auto& y = *hosts.emplace_back(std::make_unique<netsim::HostNode>());
+    net.add_node(x);
+    net.add_node(y);
+    netsim::LinkParams params;
+    params.faults = plan;
+    face = net.connect(x, y, params).second;  // ordinals 2*link, 2*link + 1
+  }
+  netsim::HostNode& sender = *hosts.back();
+  for (int i = 0; i < kPackets; ++i) {
+    sender.send(face, PacketBytes(32, static_cast<std::uint8_t>(i)));
+  }
+  net.run();
+
+  std::vector<netsim::FaultEvent> expected;
+  for (const netsim::FaultDecision& d : a) {
+    const auto event = [&](netsim::FaultKind kind, std::uint64_t detail) {
+      expected.push_back({kind, sender.id(), face, d.index, 0, detail});
+    };
+    if (d.blackout) event(netsim::FaultKind::kBlackout, 0);
+    if (d.drop) event(netsim::FaultKind::kDrop, 0);
+    if (d.corrupt_bytes != 0) event(netsim::FaultKind::kCorrupt, d.corrupt_bytes);
+    if (d.duplicate) event(netsim::FaultKind::kDuplicate, 0);
+    if (d.extra_delay != 0) event(netsim::FaultKind::kReorder, d.extra_delay);
+  }
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(net.fault_trace(), expected);
 }
 
 // ---- discovery, routing, forwarding ---------------------------------------
@@ -492,6 +535,32 @@ TEST(MeshControl, AddressPlanAndSymmetricEdgeSpf) {
   ASSERT_EQ(hops.size(), 2u);
   EXPECT_EQ(hops.at(2), 2u);
   EXPECT_EQ(hops.at(3), 2u);  // first hop propagates through the BFS
+}
+
+TEST(MeshControl, AsymmetricLsdbRoutesAroundTheOneSidedEdge) {
+  // Diamond 1-{2,3}-4 plus tail 4-5. Node 2 still advertises 4, but 4's
+  // newer LSA dropped 2 (the link failed): the 2-4 edge is gone for
+  // everyone, so the tie-break toward the lower id (2) no longer applies.
+  // Node 5 advertises 6, which never announced itself: unreachable.
+  LinkStateDb lsdb;
+  lsdb[1] = Lsa{1, {2, 3}, {}};
+  lsdb[2] = Lsa{1, {1, 4}, {}};
+  lsdb[3] = Lsa{1, {1, 4}, {}};
+  lsdb[4] = Lsa{2, {3, 5}, {}};
+  lsdb[5] = Lsa{1, {4, 6}, {}};
+
+  const auto from1 = compute_next_hops(lsdb, 1);
+  EXPECT_EQ(from1, (std::map<std::uint32_t, std::uint32_t>{{2, 2}, {3, 3}, {4, 3}, {5, 3}}));
+  const auto from2 = compute_next_hops(lsdb, 2);
+  EXPECT_EQ(from2, (std::map<std::uint32_t, std::uint32_t>{{1, 1}, {3, 1}, {4, 1}, {5, 1}}));
+  const auto from4 = compute_next_hops(lsdb, 4);
+  EXPECT_EQ(from4, (std::map<std::uint32_t, std::uint32_t>{{1, 3}, {2, 3}, {3, 3}, {5, 5}}));
+
+  // Once 4 advertises 2 again the edge returns and the lower id wins.
+  lsdb[4] = Lsa{3, {2, 3, 5}, {}};
+  EXPECT_EQ(compute_next_hops(lsdb, 1).at(4), 2u);
+  EXPECT_EQ(compute_next_hops(lsdb, 1).at(5), 2u);
+  EXPECT_FALSE(compute_next_hops(lsdb, 1).contains(6));
 }
 
 // ---- soak: seeded impairments, conservation, replay ------------------------

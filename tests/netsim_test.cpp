@@ -133,7 +133,7 @@ TEST(Network, LossDropsDeterministically) {
   net.add_node(a);
   net.add_node(b);
   LinkParams params;
-  params.loss_rate = 0.5;
+  params.faults.drop_rate = 0.5;
   const auto [fa, fb] = net.connect(a, b, params);
   (void)fb;
 

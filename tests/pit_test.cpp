@@ -1,3 +1,5 @@
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "dip/pit/content_store.hpp"
@@ -114,6 +116,40 @@ TEST(Pit, CapacityRecoversViaExpiry) {
   pit.record_interest(2, 1, 0);
   // At t=150 both are expired; the refused insert triggers a sweep.
   EXPECT_TRUE(pit.record_interest(3, 1, 150));
+}
+
+TEST(Pit, ExpiryHeapStaysBoundedUnderInterestDataChurn) {
+  // Every satisfied interest leaves its heap item behind, and expire() only
+  // runs when the table is full. A million interest/data pairs must not
+  // leave a million stale items: the heap is rebuilt from the live table.
+  Pit pit;
+  std::size_t high_water = 0;
+  for (std::uint64_t i = 0; i < 1'000'000; ++i) {
+    const SimTime now = i * 10;
+    ASSERT_TRUE(pit.record_interest(i, 1, now));
+    ASSERT_LE(pit.heap_size(), 2 * pit.size() + Pit::kHeapSlack) << "pair " << i;
+    high_water = std::max(high_water, pit.heap_size());
+    ASSERT_EQ(pit.match_data(i, now + 1).size(), 1u);
+  }
+  EXPECT_EQ(pit.size(), 0u);
+  EXPECT_LE(high_water, 2 + Pit::kHeapSlack);
+}
+
+TEST(Pit, RebuiltHeapStillExpiresLiveEntries) {
+  Pit::Config config;
+  config.entry_lifetime = 100;
+  Pit pit(config);
+  pit.record_interest(1, 1, 0);   // expires at 100, never refreshed
+  // Refresh entry 2 often enough to force several rebuilds.
+  for (FaceId f = 0; f < 4 * Pit::kHeapSlack; ++f) {
+    pit.record_interest(2, f, 50);
+  }
+  EXPECT_LE(pit.heap_size(), 2 * pit.size() + Pit::kHeapSlack);
+  EXPECT_EQ(pit.expire(100), 1u) << "entry 1 expires at its own deadline";
+  EXPECT_TRUE(pit.has_entry(2, 120));
+  EXPECT_EQ(pit.expire(150), 1u);
+  EXPECT_EQ(pit.size(), 0u);
+  EXPECT_EQ(pit.heap_size(), 0u);
 }
 
 // ---------- ContentStore ----------
