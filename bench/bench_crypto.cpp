@@ -1,5 +1,7 @@
 // A13 — crypto substrate primitives: the raw costs everything OPT/EPIC/
-// F_pass/F_cc pay per invocation.
+// F_pass/F_cc pay per invocation. Aes128 picks its kernel at runtime; the
+// run context records which one ("aes_kernel"), and the AesKernel* legs
+// time the portable and AES-NI kernels side by side.
 #include <benchmark/benchmark.h>
 
 #include "bench_guard.hpp"
@@ -63,6 +65,55 @@ void BM_Aes128KeySchedule(benchmark::State& state) {
 }
 BENCHMARK(BM_Aes128KeySchedule);
 
+// Per-kernel legs: arg 0 = portable, 1 = AES-NI (skipped without AES-NI).
+struct KernelLeg {
+  void (*expand_key)(const Block&, Aes128::RoundKeys&) noexcept;
+  void (*encrypt_blocks)(const Aes128::RoundKeys&, Block*, std::size_t) noexcept;
+};
+
+bool pick_kernel(benchmark::State& state, KernelLeg& leg) {
+  if (state.range(0) == 0) {
+    leg = {detail::expand_key_portable, detail::encrypt_blocks_portable};
+    return true;
+  }
+  if (!hardware_aes()) {
+    state.SkipWithError("CPU has no AES-NI");
+    return false;
+  }
+  leg = {detail::expand_key_aesni, detail::encrypt_blocks_aesni};
+  return true;
+}
+
+void BM_AesKernelKeySchedule(benchmark::State& state) {
+  KernelLeg leg{};
+  if (!pick_kernel(state, leg)) return;
+  Xoshiro256 rng(8);
+  Block key = rng.block();
+  Aes128::RoundKeys rk;
+  for (auto _ : state) {
+    key[0] = static_cast<std::uint8_t>(key[0] + 1);
+    leg.expand_key(key, rk);
+    benchmark::DoNotOptimize(rk);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_AesKernelKeySchedule)->ArgName("aesni")->Arg(0)->Arg(1);
+
+void BM_AesKernelBlock(benchmark::State& state) {
+  KernelLeg leg{};
+  if (!pick_kernel(state, leg)) return;
+  Xoshiro256 rng(9);
+  Aes128::RoundKeys rk;
+  leg.expand_key(rng.block(), rk);
+  Block block = rng.block();
+  for (auto _ : state) {
+    leg.encrypt_blocks(rk, &block, 1);
+    benchmark::DoNotOptimize(block);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 16);
+}
+BENCHMARK(BM_AesKernelBlock)->ArgName("aesni")->Arg(0)->Arg(1);
+
 void BM_DrKeyDerive(benchmark::State& state) {
   // The F_parm hot path: per-packet dynamic-key derivation.
   Xoshiro256 rng(5);
@@ -100,4 +151,12 @@ BENCHMARK(BM_Xoshiro);
 }  // namespace
 }  // namespace dip::bench
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("aes_kernel",
+                              dip::crypto::hardware_aes() ? "aesni" : "portable");
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -37,6 +37,7 @@
 #include "dip/core/ip.hpp"
 #include "dip/core/router_pool.hpp"
 #include "dip/ctrl/control_plane.hpp"
+#include "dip/crypto/aes.hpp"
 #include "dip/fib/lpm.hpp"
 #include "dip/fib/synth.hpp"
 #include "dip/ndn/ndn.hpp"
@@ -71,7 +72,8 @@ void print_histogram_digest(const char* name,
 int main(int argc, char** argv) {
   using namespace dip;
 
-  std::printf("== dip_stats: router observability over a Zipf DIP-32 + NDN mix ==\n\n");
+  std::printf("== dip_stats: router observability over a Zipf DIP-32 + NDN mix ==\n");
+  std::printf("   aes kernel: %s\n\n", crypto::hardware_aes() ? "aesni" : "portable");
 
   // --- Pool: 2 workers sharing one route table, stats on every worker. ---
   auto registry = netsim::make_default_registry();

@@ -2,6 +2,13 @@
 # Full verification pipeline: release build + tests + benches, then an
 # ASan/UBSan build + tests. This is what CI should run.
 #
+# AES kernel: dip_crypto picks AES-NI at runtime (CPUID) on CPUs that have
+# it, so on such a host every lane below — release, ASan/UBSan, TSan (the
+# pool suites push OPT/EPIC through it) and coverage — builds and runs the
+# hardware kernel. The portable kernel stays covered in every lane through
+# crypto_test's kernel differential (AesKernelTest, AesKernels), which calls
+# both kernels by name.
+#
 #   --fast   docs check + release build + the unit/property/ctrl/fib/mesh/
 #            pisa/dtn test tiers only (see docs/TESTING.md): the inner-loop
 #            lane, no benches, no sanitizer rebuilds. `ctest -L fib` alone

@@ -18,7 +18,7 @@
 #include <set>
 
 #include "dip/bytes/time.hpp"
-#include "dip/crypto/aes.hpp"
+#include "dip/crypto/drkey.hpp"
 #include "dip/crypto/mac.hpp"
 #include "dip/ctrl/tables.hpp"
 #include "dip/fib/lpm.hpp"
@@ -101,6 +101,18 @@ struct RouterEnv {
 
   // ---- crypto state (OPT) ----------------------------------------------
   crypto::Block node_secret{};            ///< local secret for DRKey derivation
+  /// The DRKey PRF under node_secret (K = AES_{node_secret}(sid)) shared by
+  /// F_parm, the F_parm wave and EPIC's F_HVF: one AES key schedule,
+  /// rebuilt only when node_secret's bytes change, so re-keying takes
+  /// effect on the next packet. An env belongs to one router (one pool
+  /// worker), so the memo needs no lock.
+  [[nodiscard]] const crypto::DrKey& drkey() {
+    if (!drkey_ || drkey_secret_ != node_secret) {
+      drkey_.emplace(node_secret);
+      drkey_secret_ = node_secret;
+    }
+    return *drkey_;
+  }
   crypto::MacKind mac_kind = crypto::MacKind::kEm2;
   /// AS-wide key for F_pass source-label verification (§2.4 security). The
   /// edge AS issues labels with it; every AS router can check them.
@@ -118,9 +130,6 @@ struct RouterEnv {
   /// untouched — the node forwards the bundle but is not part of the DTN
   /// overlay, mirroring the §2.4 heterogeneous-deployment rule.
   bool accept_custody = false;
-  /// The node's bounded dtn::CustodyStore, type-erased so core does not
-  /// depend on dtn; dtn's node wrappers install and cast it.
-  std::shared_ptr<void> custody_store;
 
   // ---- deployment configuration (§2.4) ----------------------------------
   /// FN keys this node refuses even if a module is linked in (heterogeneous
@@ -151,6 +160,10 @@ struct RouterEnv {
   [[nodiscard]] bool supports(OpKey key) const {
     return !disabled_keys.contains(key);
   }
+
+ private:
+  std::optional<crypto::DrKey> drkey_;  ///< drkey() memo
+  crypto::Block drkey_secret_{};        ///< the node_secret drkey_ was built from
 };
 
 }  // namespace dip::core

@@ -33,7 +33,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -43,7 +42,6 @@
 #include "dip/core/header.hpp"
 #include "dip/core/registry.hpp"
 #include "dip/core/verdict.hpp"
-#include "dip/crypto/drkey.hpp"
 
 namespace dip::core {
 
@@ -223,12 +221,6 @@ class Router {
   /// never touch the heap.
   BurstArena arena_;
 
-  /// Cached AES schedule for the F_parm wave (K = AES_{node_secret}(sid));
-  /// rebuilt lazily when env_.node_secret changes. Router-local (one per
-  /// pool worker), so caching here is safe where caching inside the
-  /// registry-shared ParmOp module would race.
-  std::optional<crypto::DrKey> drkey_;
-  crypto::Block drkey_secret_{};
   // True while dispatching a packet the stats sampler picked: run_fn then
   // times module execution into env_.stats->fn_ns. Always false when stats
   // are disabled, so the per-FN cost is a single predictable branch.

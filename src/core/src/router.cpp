@@ -678,14 +678,7 @@ void Router::wave_parm(OpModule* module, std::size_t pos,
                        std::span<ProcessResult> results, FaceId ingress,
                        SimTime now) {
   // One AES key schedule for the whole group: K_i = AES_{node_secret}(sid_i)
-  // is multi-block under the router's cached schedule (rebuilt only when
-  // the node secret changes).
-  if (!drkey_ ||
-      std::memcmp(drkey_secret_.data(), env_.node_secret.data(),
-                  drkey_secret_.size()) != 0) {
-    drkey_.emplace(env_.node_secret);
-    drkey_secret_ = env_.node_secret;
-  }
+  // is multi-block under the env's memoised schedule (env_.drkey()).
   const std::uint32_t cost = module->cost();
   const std::size_t key_slot =
       static_cast<std::size_t>(OpKey::kParm) % env_.counters.fn_by_key.size();
@@ -721,7 +714,7 @@ void Router::wave_parm(OpModule* module, std::size_t pos,
     ++lane_n;
   }
   if (lane_n != 0) {
-    drkey_->derive_blocks(sids, keys, lane_n);
+    env_.drkey().derive_blocks(sids, keys, lane_n);
     for (std::size_t k = 0; k < lane_n; ++k) {
       states[lanes[k]].scratch.dynamic_key = keys[k];
     }

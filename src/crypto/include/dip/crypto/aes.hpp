@@ -1,4 +1,5 @@
-// AES-128 block cipher (FIPS-197), portable table-free implementation.
+// AES-128 block cipher (FIPS-197), runtime-dispatched between AES-NI and a
+// portable table-free kernel.
 //
 // Used three ways in this repo:
 //  * as the public permutation inside the 2EM Even–Mansour construction the
@@ -7,9 +8,13 @@
 //  * as the block cipher under AES-CMAC, the ablation baseline the paper
 //    rejected for Tofino (it would need packet resubmission).
 //
-// This is a straightforward byte-oriented implementation: constant code size,
-// no large T-tables, adequate for a software prototype. It is NOT hardened
-// against cache-timing side channels; do not reuse outside the simulator.
+// Two kernels sit behind Aes128, chosen once per process at first use
+// (hardware_aes()): AES-NI rounds and key expansion where the CPU has them,
+// else a byte-oriented portable implementation. The portable kernel is the
+// oracle — tests/crypto_test runs the known answers against both and
+// cross-checks them on random keys and strip shapes — and also the only
+// decrypt. It has no large T-tables but is NOT hardened against
+// cache-timing side channels; do not reuse it outside the simulator.
 #pragma once
 
 #include <array>
@@ -36,11 +41,11 @@ class Aes128 {
   /// Encrypt `n` blocks in place under this key, up to kMaxLanes in flight:
   /// every round is applied across the whole strip before the next round
   /// starts, so the per-block work interleaves (straight-line ILP on the
-  /// portable path, one hardware AES round per lane under DIP_SIMD_CRYPTO).
-  /// Bitwise identical to calling encrypt() n times.
+  /// portable kernel, one pipelined AES-NI round per lane on the hardware
+  /// kernel). Bitwise identical to calling encrypt() n times.
   void encrypt_blocks(Block* blocks, std::size_t n) const noexcept;
 
-  /// Decrypt one block in place.
+  /// Decrypt one block in place (portable kernel on every CPU).
   void decrypt(Block& block) const noexcept;
 
   /// Convenience: encrypt a copy.
@@ -54,12 +59,36 @@ class Aes128 {
   /// depth without spilling the portable path's working set).
   static constexpr std::size_t kMaxLanes = 8;
 
+  /// Expanded key schedule: round r is bytes [16r, 16r + 16), FIPS-197
+  /// byte order. Both kernels produce and consume this exact layout.
+  using RoundKeys = std::array<std::uint8_t, (kRounds + 1) * kBlockSize>;
+
+  [[nodiscard]] const RoundKeys& round_keys() const noexcept { return round_keys_; }
+
  private:
   void expand_key(const Block& key) noexcept;
 
-  // Round keys: (kRounds + 1) * 16 bytes.
-  std::array<std::uint8_t, (kRounds + 1) * kBlockSize> round_keys_{};
+  RoundKeys round_keys_{};
 };
+
+/// True when Aes128 runs the AES-NI kernel on this CPU. Decided once per
+/// process (CPUID) at first use; false on CPUs without AES-NI and on
+/// non-x86 targets, where the portable kernel runs.
+[[nodiscard]] bool hardware_aes() noexcept;
+
+namespace detail {
+
+// The two kernels behind Aes128, callable directly so a test or bench can
+// run one against the other. The *_aesni kernels may only be called when
+// hardware_aes() is true.
+void expand_key_portable(const Block& key, Aes128::RoundKeys& rk) noexcept;
+void encrypt_blocks_portable(const Aes128::RoundKeys& rk, Block* blocks,
+                             std::size_t n) noexcept;
+void expand_key_aesni(const Block& key, Aes128::RoundKeys& rk) noexcept;
+void encrypt_blocks_aesni(const Aes128::RoundKeys& rk, Block* blocks,
+                          std::size_t n) noexcept;
+
+}  // namespace detail
 
 /// Free-function spelling of Aes128::encrypt_blocks (the burst-pipeline
 /// entry point; see DESIGN.md §10).

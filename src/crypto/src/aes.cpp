@@ -3,16 +3,15 @@
 #include <algorithm>
 #include <cstring>
 
-// DIP_SIMD_CRYPTO (cmake option, default OFF): hardware AES rounds for the
-// encrypt paths. The portable byte-oriented code below stays compiled and
-// remains the oracle — the known-answer vectors in tests/crypto_test pin
-// both builds to the same outputs.
-#if defined(DIP_SIMD_CRYPTO) && defined(__AES__) && \
-    (defined(__x86_64__) || defined(__i386__))
-#define DIP_AESNI 1
+// The AES-NI kernels are compiled for the `aes` target per function (no
+// global -maes), so one binary runs on every x86 CPU and picks its kernel
+// at first use via CPUID.
+#if defined(__x86_64__) || defined(__i386__)
+#define DIP_CRYPTO_X86 1
+#include <emmintrin.h>
 #include <wmmintrin.h>
 #else
-#define DIP_AESNI 0
+#define DIP_CRYPTO_X86 0
 #endif
 
 namespace dip::crypto {
@@ -91,11 +90,28 @@ inline void mix_columns(Block& s) noexcept {
 
 }  // namespace
 
-void Aes128::expand_key(const Block& key) noexcept {
-  std::memcpy(round_keys_.data(), key.data(), kKeySize);
-  for (int i = 4; i < 4 * (kRounds + 1); ++i) {
+bool hardware_aes() noexcept {
+  // Function-local: safe to reach from another translation unit's static
+  // initialiser (e.g. a namespace-scope Aes128), which may run before this
+  // file's statics; __builtin_cpu_init makes the CPUID probe valid there.
+  static const bool hw = [] {
+#if DIP_CRYPTO_X86
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("aes") != 0;
+#else
+    return false;
+#endif
+  }();
+  return hw;
+}
+
+namespace detail {
+
+void expand_key_portable(const Block& key, Aes128::RoundKeys& rk) noexcept {
+  std::memcpy(rk.data(), key.data(), Aes128::kKeySize);
+  for (int i = 4; i < 4 * (Aes128::kRounds + 1); ++i) {
     std::uint8_t t[4];
-    std::memcpy(t, round_keys_.data() + 4 * (i - 1), 4);
+    std::memcpy(t, rk.data() + 4 * (i - 1), 4);
     if (i % 4 == 0) {
       // RotWord + SubWord + Rcon.
       const std::uint8_t tmp = t[0];
@@ -104,73 +120,130 @@ void Aes128::expand_key(const Block& key) noexcept {
       t[2] = kSbox[t[3]];
       t[3] = kSbox[tmp];
     }
-    for (int j = 0; j < 4; ++j) {
-      round_keys_[4 * i + j] = round_keys_[4 * (i - 4) + j] ^ t[j];
-    }
+    for (int j = 0; j < 4; ++j) rk[4 * i + j] = rk[4 * (i - 4) + j] ^ t[j];
   }
 }
 
-void Aes128::encrypt(Block& s) const noexcept {
-#if DIP_AESNI
-  encrypt_blocks(&s, 1);
-#else
-  add_round_key(s, round_keys_.data());
-  for (int round = 1; round < kRounds; ++round) {
-    sub_shift(s);
-    mix_columns(s);
-    add_round_key(s, round_keys_.data() + 16 * round);
-  }
-  sub_shift(s);
-  add_round_key(s, round_keys_.data() + 16 * kRounds);
-#endif
-}
-
-void Aes128::encrypt_blocks(Block* blocks, std::size_t n) const noexcept {
-#if DIP_AESNI
-  __m128i rk[kRounds + 1];
-  for (int r = 0; r <= kRounds; ++r) {
-    rk[r] = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(round_keys_.data() + 16 * r));
-  }
-  for (std::size_t base = 0; base < n; base += kMaxLanes) {
-    const std::size_t lanes = std::min(kMaxLanes, n - base);
-    __m128i s[kMaxLanes];
-    for (std::size_t l = 0; l < lanes; ++l) {
-      s[l] = _mm_xor_si128(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks[base + l].data())),
-          rk[0]);
-    }
-    for (int r = 1; r < kRounds; ++r) {
-      for (std::size_t l = 0; l < lanes; ++l) s[l] = _mm_aesenc_si128(s[l], rk[r]);
-    }
-    for (std::size_t l = 0; l < lanes; ++l) {
-      s[l] = _mm_aesenclast_si128(s[l], rk[kRounds]);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(blocks[base + l].data()), s[l]);
-    }
-  }
-#else
+void encrypt_blocks_portable(const Aes128::RoundKeys& rk, Block* blocks,
+                             std::size_t n) noexcept {
   // Round-major over a strip of lanes: the per-lane chains are independent
   // inside each round, so the out-of-order engine overlaps them — the
   // "straight-line interleaved rounds" structure without hardware AES.
-  for (std::size_t base = 0; base < n; base += kMaxLanes) {
-    const std::size_t lanes = std::min(kMaxLanes, n - base);
+  constexpr int kRounds = Aes128::kRounds;
+  for (std::size_t base = 0; base < n; base += Aes128::kMaxLanes) {
+    const std::size_t lanes = std::min(Aes128::kMaxLanes, n - base);
     Block* s = blocks + base;
-    for (std::size_t l = 0; l < lanes; ++l) add_round_key(s[l], round_keys_.data());
+    for (std::size_t l = 0; l < lanes; ++l) add_round_key(s[l], rk.data());
     for (int round = 1; round < kRounds; ++round) {
-      const std::uint8_t* rk = round_keys_.data() + 16 * round;
+      const std::uint8_t* k = rk.data() + 16 * round;
       for (std::size_t l = 0; l < lanes; ++l) {
         sub_shift(s[l]);
         mix_columns(s[l]);
-        add_round_key(s[l], rk);
+        add_round_key(s[l], k);
       }
     }
-    const std::uint8_t* rk_last = round_keys_.data() + 16 * kRounds;
+    const std::uint8_t* k_last = rk.data() + 16 * kRounds;
     for (std::size_t l = 0; l < lanes; ++l) {
       sub_shift(s[l]);
-      add_round_key(s[l], rk_last);
+      add_round_key(s[l], k_last);
     }
   }
+}
+
+#if DIP_CRYPTO_X86
+
+namespace {
+
+// One FIPS-197 key-expansion step: `assist` is aeskeygenassist(prev, rcon),
+// whose word 3 holds SubWord(RotWord(w3)) ^ rcon; the two shifted XORs
+// form the running prefix XOR w0, w0^w1, w0^w1^w2, w0^w1^w2^w3.
+__attribute__((target("aes"))) inline __m128i expand_step(__m128i prev,
+                                                          __m128i assist) noexcept {
+  assist = _mm_shuffle_epi32(assist, 0xff);
+  prev = _mm_xor_si128(prev, _mm_slli_si128(prev, 4));
+  prev = _mm_xor_si128(prev, _mm_slli_si128(prev, 8));
+  return _mm_xor_si128(prev, assist);
+}
+
+}  // namespace
+
+__attribute__((target("aes"))) void expand_key_aesni(const Block& key,
+                                                    Aes128::RoundKeys& rk) noexcept {
+  __m128i k[Aes128::kRounds + 1];
+  k[0] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key.data()));
+  // aeskeygenassist takes its round constant as an immediate: unrolled.
+  k[1] = expand_step(k[0], _mm_aeskeygenassist_si128(k[0], 0x01));
+  k[2] = expand_step(k[1], _mm_aeskeygenassist_si128(k[1], 0x02));
+  k[3] = expand_step(k[2], _mm_aeskeygenassist_si128(k[2], 0x04));
+  k[4] = expand_step(k[3], _mm_aeskeygenassist_si128(k[3], 0x08));
+  k[5] = expand_step(k[4], _mm_aeskeygenassist_si128(k[4], 0x10));
+  k[6] = expand_step(k[5], _mm_aeskeygenassist_si128(k[5], 0x20));
+  k[7] = expand_step(k[6], _mm_aeskeygenassist_si128(k[6], 0x40));
+  k[8] = expand_step(k[7], _mm_aeskeygenassist_si128(k[7], 0x80));
+  k[9] = expand_step(k[8], _mm_aeskeygenassist_si128(k[8], 0x1b));
+  k[10] = expand_step(k[9], _mm_aeskeygenassist_si128(k[9], 0x36));
+  for (int r = 0; r <= Aes128::kRounds; ++r) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(rk.data() + 16 * r), k[r]);
+  }
+}
+
+__attribute__((target("aes"))) void encrypt_blocks_aesni(const Aes128::RoundKeys& rk,
+                                                        Block* blocks,
+                                                        std::size_t n) noexcept {
+  constexpr int kRounds = Aes128::kRounds;
+  __m128i k[kRounds + 1];
+  for (int r = 0; r <= kRounds; ++r) {
+    k[r] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(rk.data() + 16 * r));
+  }
+  for (std::size_t base = 0; base < n; base += Aes128::kMaxLanes) {
+    const std::size_t lanes = std::min(Aes128::kMaxLanes, n - base);
+    __m128i s[Aes128::kMaxLanes];
+    for (std::size_t l = 0; l < lanes; ++l) {
+      s[l] = _mm_xor_si128(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks[base + l].data())),
+          k[0]);
+    }
+    for (int r = 1; r < kRounds; ++r) {
+      for (std::size_t l = 0; l < lanes; ++l) s[l] = _mm_aesenc_si128(s[l], k[r]);
+    }
+    for (std::size_t l = 0; l < lanes; ++l) {
+      s[l] = _mm_aesenclast_si128(s[l], k[kRounds]);
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(blocks[base + l].data()), s[l]);
+    }
+  }
+}
+
+#else  // !DIP_CRYPTO_X86: hardware_aes() is false, so these never dispatch.
+
+void expand_key_aesni(const Block& key, Aes128::RoundKeys& rk) noexcept {
+  expand_key_portable(key, rk);
+}
+
+void encrypt_blocks_aesni(const Aes128::RoundKeys& rk, Block* blocks,
+                          std::size_t n) noexcept {
+  encrypt_blocks_portable(rk, blocks, n);
+}
+
 #endif
+
+}  // namespace detail
+
+void Aes128::expand_key(const Block& key) noexcept {
+  if (hardware_aes()) {
+    detail::expand_key_aesni(key, round_keys_);
+  } else {
+    detail::expand_key_portable(key, round_keys_);
+  }
+}
+
+void Aes128::encrypt(Block& s) const noexcept { encrypt_blocks(&s, 1); }
+
+void Aes128::encrypt_blocks(Block* blocks, std::size_t n) const noexcept {
+  if (hardware_aes()) {
+    detail::encrypt_blocks_aesni(round_keys_, blocks, n);
+  } else {
+    detail::encrypt_blocks_portable(round_keys_, blocks, n);
+  }
 }
 
 void Aes128::decrypt(Block& s) const noexcept {

@@ -24,14 +24,14 @@ const Aes128& EvenMansour2::perm2() noexcept {
 }
 
 EvenMansour2::EvenMansour2(const Block& master_key) noexcept {
-  // k_i = AES_masterkey(i) — a PRF keyed by the master key on distinct inputs.
-  const Aes128 prf(master_key);
-  for (int i = 0; i < 3; ++i) {
-    Block in{};
-    in[15] = static_cast<std::uint8_t>(i + 1);
-    prf.encrypt(in);
-    (i == 0 ? k0_ : i == 1 ? k1_ : k2_) = in;
-  }
+  // k_i = AES_masterkey(i + 1) — a PRF keyed by the master key on distinct
+  // inputs, the three blocks in one multi-block pass.
+  Block k[3] = {};
+  for (int i = 0; i < 3; ++i) k[i][15] = static_cast<std::uint8_t>(i + 1);
+  Aes128(master_key).encrypt_blocks(k, 3);
+  k0_ = k[0];
+  k1_ = k[1];
+  k2_ = k[2];
 }
 
 void EvenMansour2::encrypt(Block& block) const noexcept {

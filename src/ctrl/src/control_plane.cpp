@@ -69,17 +69,9 @@ void ControlPlane::refresh(bool force) {
   const SimTime now = net_.now();
   auto current = scan_links();
 
+  // netsim never disconnects a face, so links only appear (a face
+  // connected after start()) or flip usable; none vanish from the scan.
   bool changed = force || !have_link_state_;
-  // Links that vanished since the last scan (face torn down) change the
-  // topology even though no key in `current` flips.
-  if (!changed) {
-    for (const auto& [key, usable] : link_state_) {
-      if (!current.contains(key)) {
-        changed = true;
-        break;
-      }
-    }
-  }
   for (const auto& [key, usable] : current) {
     const auto prev = link_state_.find(key);
     if (prev == link_state_.end()) {

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -70,8 +69,8 @@ class CustodyAgent {
     std::function<void(core::FaceId ingress, std::vector<std::uint8_t> ack)> send_ack;
   };
 
-  /// Installs the store into `env.custody_store`; reads node id, custody
-  /// key, MAC kind and accept_custody from `env` (which must outlive it).
+  /// Reads node id, custody key, MAC kind and accept_custody from `env`
+  /// (which must outlive it).
   CustodyAgent(core::RouterEnv& env, Config config, Substrate substrate);
 
   CustodyAgent(const CustodyAgent&) = delete;  // timers capture `this`
@@ -91,7 +90,7 @@ class CustodyAgent {
   /// unless that is this node (the fragment was injected here).
   void ack(const CustodyTag& accepted, const FragInfo& frag, core::FaceId ingress);
 
-  [[nodiscard]] const CustodyStore& store() const noexcept { return *store_; }
+  [[nodiscard]] const CustodyStore& store() const noexcept { return store_; }
   [[nodiscard]] std::uint64_t acks_sent() const noexcept { return acks_sent_; }
   /// Refused admissions plus duplicate copies not forwarded.
   [[nodiscard]] std::uint64_t custody_drops() const noexcept { return custody_drops_; }
@@ -103,7 +102,7 @@ class CustodyAgent {
   core::RouterEnv& env_;
   Config config_;
   Substrate substrate_;
-  std::shared_ptr<CustodyStore> store_;
+  CustodyStore store_;
   RetxScheduler retx_;
   std::uint64_t acks_sent_ = 0;
   std::uint64_t custody_drops_ = 0;

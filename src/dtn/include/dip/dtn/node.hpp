@@ -20,8 +20,7 @@ class CustodyRouterNode final : public netsim::Node {
  public:
   using Config = CustodyAgent::Config;
 
-  /// `env` should carry custody_key/accept_custody and the node's identity;
-  /// the agent installs its CustodyStore into env.custody_store.
+  /// `env` should carry custody_key/accept_custody and the node's identity.
   CustodyRouterNode(core::RouterEnv env, std::shared_ptr<const core::OpRegistry> registry,
                     Config config);
   CustodyRouterNode(core::RouterEnv env, std::shared_ptr<const core::OpRegistry> registry)

@@ -28,10 +28,8 @@ CustodyAgent::CustodyAgent(core::RouterEnv& env, Config config, Substrate substr
     : env_(env),
       config_(config),
       substrate_(std::move(substrate)),
-      store_(std::make_shared<CustodyStore>(config.limits)),
-      retx_(config.retx) {
-  env_.custody_store = store_;
-}
+      store_(config.limits),
+      retx_(config.retx) {}
 
 bool CustodyAgent::on_forward(core::FaceId ingress, core::FaceId egress,
                               std::span<const std::uint8_t> packet, bool custody_hop) {
@@ -48,7 +46,7 @@ bool CustodyAgent::on_forward(core::FaceId ingress, core::FaceId egress,
 
   const std::uint64_t key = view->key();
   bool duplicate = false;
-  CustodyStore::Entry* entry = store_->commit(key, packet, egress, now, &duplicate);
+  CustodyStore::Entry* entry = store_.commit(key, packet, egress, now, &duplicate);
   if (entry == nullptr) {
     // Full of live custody: refuse. No ACK, no forward — the previous
     // custodian keeps the fragment and retries.
@@ -73,11 +71,11 @@ bool CustodyAgent::on_ack(const CustodyView& view) {
   // re-ACKs duplicate commits) find the entry gone and are counted by the
   // store.
   const std::uint64_t key = view.key();
-  if (const CustodyStore::Entry* entry = store_->find(key);
+  if (const CustodyStore::Entry* entry = store_.find(key);
       entry != nullptr && entry->timer_id != 0 && substrate_.cancel) {
     substrate_.cancel(entry->timer_id);
   }
-  store_->release(key);
+  store_.release(key);
   return true;
 }
 
@@ -93,7 +91,7 @@ void CustodyAgent::ack(const CustodyTag& accepted, const FragInfo& frag,
 }
 
 void CustodyAgent::arm_retry(std::uint64_t key) {
-  CustodyStore::Entry* entry = store_->find(key);
+  CustodyStore::Entry* entry = store_.find(key);
   if (entry == nullptr) return;
   // Backoff per the retry policy, plus the DPS-priced pacing gap: custody
   // retransmissions drain at lower priority than first-transmission traffic.
@@ -105,10 +103,10 @@ void CustodyAgent::arm_retry(std::uint64_t key) {
 }
 
 void CustodyAgent::on_retry(std::uint64_t key, std::uint32_t expected_attempts) {
-  CustodyStore::Entry* entry = store_->find(key);
+  CustodyStore::Entry* entry = store_.find(key);
   // Released (ACK arrived) or superseded by a newer timer generation.
   if (entry == nullptr || entry->attempts != expected_attempts) return;
-  if (!store_->charge_retransmission(key)) {
+  if (!store_.charge_retransmission(key)) {
     entry->timer_id = 0;  // exhausted: go quiet, stay evictable
     return;
   }

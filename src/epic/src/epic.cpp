@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "dip/crypto/drkey.hpp"
-
 namespace dip::epic {
 
 namespace {
@@ -66,7 +64,7 @@ bytes::Status HvfOp::execute(core::OpContext& ctx) {
   // Derive this hop's key from the session id, exactly as OPT's F_parm.
   const crypto::SessionId sid =
       crypto::block_from(block.subspan(kSessionOffset, 16));
-  const crypto::Block key = crypto::DrKey(ctx.env->node_secret).derive(sid);
+  const crypto::Block key = ctx.env->drkey().derive(sid);
 
   auto hvf = block.subspan(kHvfArrayOffset + hop_index * kHvfBytes, kHvfBytes);
   const auto expected = hop_tag(key, block, hop_index, kTagValidate, ctx.env->mac_kind);

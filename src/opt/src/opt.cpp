@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "dip/crypto/drkey.hpp"
-
 namespace dip::opt {
 
 using core::DipHeader;
@@ -20,7 +18,7 @@ bytes::Status ParmOp::execute(OpContext& ctx) {
   const crypto::SessionId sid = crypto::block_from(sid_bytes);
   // "the router will derive a dynamic key from session ID in the packet
   // header with its local key" (§3).
-  ctx.scratch->dynamic_key = crypto::DrKey(ctx.env->node_secret).derive(sid);
+  ctx.scratch->dynamic_key = ctx.env->drkey().derive(sid);
   return {};
 }
 

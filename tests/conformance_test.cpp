@@ -494,6 +494,100 @@ TEST(Conformance, CustodyPoolStrict) {
 }
 
 // ---------------------------------------------------------------------------
+// 3a3. Re-keying. F_parm, the F_parm wave and EPIC's F_HVF derive through the
+// env.drkey() memo; changing env.node_secret between bursts must reach all
+// three on the very next packet. One Router lives across four epochs
+// (secrets A, B, A, B), each compared byte for byte against a refmodel
+// holding that epoch's secret. The first packet after each re-key reaches
+// the memo through a different path: the wave (epoch 2, batch first), the
+// scalar F_parm (epoch 1) and F_HVF (epoch 3, an EPIC packet first). The streams mix sessions negotiated under A
+// and under B, so a stale schedule shows either as a wrong PVF/OPV rewrite
+// (OPT) or as a wrong EPIC verdict (a hop field that should verify
+// drops, or one that should drop verifies).
+// ---------------------------------------------------------------------------
+
+std::vector<Packet> make_rekey_stream(const opt::Session& a, const opt::Session& b,
+                                      bool epic_first, std::uint64_t seed) {
+  crypto::Xoshiro256 rng(seed);
+  std::vector<Packet> out;
+  for (int i = 0; i < 48; ++i) {
+    const opt::Session& s = (i / 2) % 2 == 0 ? a : b;
+    const Packet payload = proptest::gen::random_payload(rng, 12);
+    const std::uint32_t ts = rng.u32();
+    out.push_back(proptest::gen::finish(
+        (i % 2 == 0) != epic_first ? opt::make_opt_header(s, payload, ts, core::NextHeader::kNone, 64)
+                   : epic::make_epic_header(s, payload, ts, core::NextHeader::kNone, 64),
+        payload));
+  }
+  return out;
+}
+
+TEST(Conformance, ReKeyReachesParmWaveAndHvfOnTheNextBurst) {
+  const crypto::Block secret_a = w::node_secret();
+  const crypto::Block secret_b = crypto::Xoshiro256(0x2E4E7).block();
+  const std::array<crypto::Block, 1> router_a{secret_a};
+  const std::array<crypto::Block, 1> router_b{secret_b};
+  const opt::Session session_a =
+      opt::negotiate_session(crypto::Xoshiro256(0x5A).block(), router_a,
+                             w::destination_secret());
+  const opt::Session session_b =
+      opt::negotiate_session(crypto::Xoshiro256(0x5B).block(), router_b,
+                             w::destination_secret());
+
+  const SharedTables tables = make_shared_tables();
+  const std::shared_ptr<core::OpRegistry> registry = make_registry(false);
+  core::Router router(make_env_factory(tables)(0), registry.get());
+  const core::FaceId ingress = w::ingress_of(0);
+
+  const crypto::Block epochs[] = {secret_a, secret_b, secret_a, secret_b};
+  for (std::size_t epoch = 0; epoch < std::size(epochs); ++epoch) {
+    router.env().node_secret = epochs[epoch];
+    refmodel::RefConfig cfg = make_ref_node(/*lenient=*/false).config();
+    cfg.node_secret = epochs[epoch];
+    refmodel::RefNode ref(cfg);  // OPT/EPIC read no route tables
+
+    const bool epic_first = epoch == 3;
+    const bool scalar_first = epoch % 2 == 1;
+    const std::vector<Packet> stream =
+        make_rekey_stream(session_a, session_b, epic_first, 0x4E + epoch);
+    const SimTime now = w::now_of(epoch);
+
+    // Scalar: a burst of one runs ParmOp::execute per packet.
+    std::vector<Packet> scalar = stream;
+    std::vector<core::ProcessResult> scalar_results;
+    const auto run_scalar = [&] {
+      for (Packet& p : scalar) scalar_results.push_back(router.process(p, ingress, now));
+    };
+    // Batch: the whole stream in one burst, so F_parm runs as wave_parm.
+    std::vector<Packet> batch = stream;
+    std::vector<core::PacketRef> refs(batch.begin(), batch.end());
+    std::vector<core::ProcessResult> batch_results;
+    const auto run_batch = [&] { batch_results = router.process_batch(refs, ingress, now); };
+    if (scalar_first) {
+      run_scalar();
+      run_batch();
+    } else {
+      run_batch();
+      run_scalar();
+    }
+
+    std::size_t epic_forwarded = 0;
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      Packet want = stream[i];
+      const VerdictImage want_v = image_of(ref.process(want, ingress, now));
+      EXPECT_EQ(image_of(scalar_results[i]), want_v) << "epoch " << epoch << " scalar " << i;
+      EXPECT_EQ(scalar[i], want) << "epoch " << epoch << " scalar bytes " << i;
+      EXPECT_EQ(image_of(batch_results[i]), want_v) << "epoch " << epoch << " batch " << i;
+      EXPECT_EQ(batch[i], want) << "epoch " << epoch << " batch bytes " << i;
+      if ((i % 2 == 1) != epic_first && want_v.action == 0) ++epic_forwarded;
+    }
+    // Only the current epoch's session verifies at EPIC: half the EPIC
+    // packets forward, and they are exactly that session's.
+    EXPECT_EQ(epic_forwarded, stream.size() / 4) << "epoch " << epoch;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // 3b. Route churn (ISSUE 5): the same RouteJournal deltas are applied to the
 // production engines (RCU snapshot publishes) and the refmodel mirrors at
 // identical packet indices; verdicts and rewrites must stay byte-identical

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "dip/bytes/hex.hpp"
 #include "dip/crypto/aes.hpp"
 #include "dip/crypto/drkey.hpp"
@@ -17,6 +21,134 @@ Block block_of_hex(std::string_view hex) {
   Block b{};
   std::copy(v->begin(), v->end(), b.begin());
   return b;
+}
+
+// ---------- AES-128 kernels: known answers on both, then hardware vs portable ----------
+//
+// Aes128 dispatches to the AES-NI kernel when the CPU has it; these tests
+// call each kernel by name so the portable oracle stays covered on every
+// CPU and the hardware leg is pinned to it byte for byte.
+
+struct AesKernel {
+  const char* name;
+  void (*expand_key)(const Block&, Aes128::RoundKeys&) noexcept;
+  void (*encrypt_blocks)(const Aes128::RoundKeys&, Block*, std::size_t) noexcept;
+  bool hardware;
+};
+
+class AesKernelTest : public ::testing::TestWithParam<AesKernel> {
+ protected:
+  void SetUp() override {
+    if (GetParam().hardware && !hardware_aes()) {
+      GTEST_SKIP() << "CPU has no AES-NI";
+    }
+  }
+  [[nodiscard]] Block encrypt(const Block& key, Block b) const {
+    Aes128::RoundKeys rk;
+    GetParam().expand_key(key, rk);
+    GetParam().encrypt_blocks(rk, &b, 1);
+    return b;
+  }
+};
+
+TEST_P(AesKernelTest, Fips197AppendixBVector) {
+  EXPECT_EQ(encrypt(block_of_hex("2b7e151628aed2a6abf7158809cf4f3c"),
+                    block_of_hex("3243f6a8885a308d313198a2e0370734")),
+            block_of_hex("3925841d02dc09fbdc118597196a0b32"));
+}
+
+TEST_P(AesKernelTest, Fips197AppendixA1KeyExpansion) {
+  Aes128::RoundKeys rk;
+  GetParam().expand_key(block_of_hex("2b7e151628aed2a6abf7158809cf4f3c"), rk);
+  // w[40..43], the last round key.
+  const Block last = block_of_hex("d014f9a8c9ee2589e13f0cc8b6630ca6");
+  EXPECT_TRUE(std::equal(last.begin(), last.end(), rk.begin() + 160));
+}
+
+TEST_P(AesKernelTest, Sp80038aEcbVectors) {
+  const Block key = block_of_hex("2b7e151628aed2a6abf7158809cf4f3c");
+  const char* const plain[] = {"6bc1bee22e409f96e93d7e117393172a",
+                               "ae2d8a571e03ac9c9eb76fac45af8e51",
+                               "30c81c46a35ce411e5fbc1191a0a52ef",
+                               "f69f2445df4f9b17ad2b417be66c3710"};
+  const char* const cipher[] = {"3ad77bb40d7a3660a89ecaf32466ef97",
+                                "f5d3d58503b9699de785895a96fdbaaf",
+                                "43b1cd7f598ece23881b00e3ed030688",
+                                "7b0c785e27e8ad3f8223207104725dd4"};
+  Aes128::RoundKeys rk;
+  GetParam().expand_key(key, rk);
+  Block blocks[4];
+  for (int i = 0; i < 4; ++i) blocks[i] = block_of_hex(plain[i]);
+  GetParam().encrypt_blocks(rk, blocks, 4);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(blocks[i], block_of_hex(cipher[i])) << i;
+}
+
+TEST_P(AesKernelTest, Rfc4493CmacVectors) {
+  // RFC 4493 §4: L = AES-128(K, 0) for the example key, then the four
+  // CMAC examples with this kernel as the block cipher.
+  const Block key = block_of_hex("2b7e151628aed2a6abf7158809cf4f3c");
+  EXPECT_EQ(encrypt(key, Block{}), block_of_hex("7df76b0c1ab899b33e42f047b91b546f"));
+
+  struct KernelCipher {
+    const AesKernel* kernel;
+    Aes128::RoundKeys rk;
+    void encrypt(Block& b) const { kernel->encrypt_blocks(rk, &b, 1); }
+  } cipher{&GetParam(), {}};
+  GetParam().expand_key(key, cipher.rk);
+  const auto msg = bytes::from_hex(
+                       "6bc1bee22e409f96e93d7e117393172a"
+                       "ae2d8a571e03ac9c9eb76fac45af8e51"
+                       "30c81c46a35ce411e5fbc1191a0a52ef"
+                       "f69f2445df4f9b17ad2b417be66c3710")
+                       .value();
+  const std::span<const std::uint8_t> m(msg);
+  EXPECT_EQ(detail::cmac_compute(cipher, m.first(0)),
+            block_of_hex("bb1d6929e95937287fa37d129b756746"));
+  EXPECT_EQ(detail::cmac_compute(cipher, m.first(16)),
+            block_of_hex("070a16b46b4d4144f79bdd9dd04a287c"));
+  EXPECT_EQ(detail::cmac_compute(cipher, m.first(40)),
+            block_of_hex("dfa66747de9ae63030ca32611497c827"));
+  EXPECT_EQ(detail::cmac_compute(cipher, m),
+            block_of_hex("51f0bebf7e3b9d92fc49741779363cfe"));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, AesKernelTest,
+    ::testing::Values(AesKernel{"portable", detail::expand_key_portable,
+                                detail::encrypt_blocks_portable, false},
+                      AesKernel{"aesni", detail::expand_key_aesni,
+                                detail::encrypt_blocks_aesni, true}),
+    [](const ::testing::TestParamInfo<AesKernel>& info) { return info.param.name; });
+
+TEST(AesKernels, HardwareMatchesPortableOnRandomKeysAndStrips) {
+  if (!hardware_aes()) GTEST_SKIP() << "CPU has no AES-NI";
+  Xoshiro256 rng(0xAE5);
+  for (int trial = 0; trial < 64; ++trial) {
+    const Block key = rng.block();
+    Aes128::RoundKeys hw_rk;
+    Aes128::RoundKeys sw_rk;
+    detail::expand_key_aesni(key, hw_rk);
+    detail::expand_key_portable(key, sw_rk);
+    ASSERT_EQ(hw_rk, sw_rk) << "trial " << trial;
+    // The dispatched cipher holds the same schedule.
+    EXPECT_EQ(Aes128(key).round_keys(), sw_rk);
+
+    Block one = rng.block();
+    Block one_sw = one;
+    detail::encrypt_blocks_aesni(sw_rk, &one, 1);
+    detail::encrypt_blocks_portable(sw_rk, &one_sw, 1);
+    EXPECT_EQ(one, one_sw) << "trial " << trial;
+
+    // n = 1..17 straddles the kMaxLanes strip edge twice (8, 16).
+    for (std::size_t n = 1; n <= 2 * Aes128::kMaxLanes + 1; ++n) {
+      std::vector<Block> hw(n);
+      for (auto& b : hw) b = rng.block();
+      std::vector<Block> sw = hw;
+      detail::encrypt_blocks_aesni(sw_rk, hw.data(), n);
+      detail::encrypt_blocks_portable(sw_rk, sw.data(), n);
+      EXPECT_EQ(hw, sw) << "trial " << trial << " n=" << n;
+    }
+  }
 }
 
 // ---------- AES-128 (FIPS-197 / SP 800-38A known answers) ----------

@@ -614,6 +614,76 @@ TEST(ControlPlane, ConvergesAfterBlackoutAndResumesDelivery) {
   EXPECT_NE(text.find("dip_ctrl_snapshot_generation{node=\"0\"}"), std::string::npos);
 }
 
+// A bridge blackout partitions the destination: A(0) — B(1) — dest, with
+// A—B the only path from A. The link is dark for [0, 300 us) and
+// [1 ms, 1.3 ms). A's route appears at 300 us, is withdrawn at 1 ms (no
+// path left, so SPF yields nothing to replace it) and comes back at 1.3 ms.
+TEST(ControlPlane, PartitionWithdrawsTheRouteAndLinkReturnReinstallsIt) {
+  constexpr SimDuration kPoll = 70 * kMicrosecond;
+  netsim::Network net;
+  const auto registry = netsim::make_default_registry();
+  std::vector<std::unique_ptr<netsim::DipRouterNode>> routers;
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    auto env = netsim::make_basic_env(i);
+    env.default_egress.reset();
+    routers.push_back(std::make_unique<netsim::DipRouterNode>(std::move(env), registry));
+    net.add_node(*routers[i]);
+  }
+  auto& a = *routers[0];
+  auto& b = *routers[1];
+  netsim::LinkParams bridge;
+  bridge.faults.blackout_period = 1 * kMillisecond;
+  bridge.faults.blackout_duration = 300 * kMicrosecond;
+  const auto [a_to_b, b_from_a] = net.connect(a, b, bridge);
+  (void)b_from_a;
+  netsim::HostNode dest;
+  net.add_node(dest);
+  const auto [b_delivery_face, dest_face] = net.connect(b, dest);
+  (void)dest_face;
+
+  ctrl::ControlPlane cp(net, ctrl::ControlPlaneConfig{.poll_interval = kPoll});
+  cp.manage(a);
+  cp.manage(b);
+  const fib::Prefix<32> prefix{fib::ipv4_from_u32(0x0A000000), 8};
+  cp.add_destination(prefix, b.id(), b_delivery_face);
+
+  // A's published route toward 10.0.0.1, sampled mid-window.
+  std::map<SimTime, std::optional<fib::NextHop>> route_at;
+  for (const SimTime t : {200 * kMicrosecond, 900 * kMicrosecond,
+                          1200 * kMicrosecond, 1700 * kMicrosecond}) {
+    net.loop().schedule_at(t, [&, t] {
+      route_at[t] = a.env().fib32_view()->lookup(fib::ipv4_from_u32(0x0A000001));
+    });
+  }
+  std::vector<std::pair<SimTime, ctrl::ControlPlaneStats>> stats_at;
+  for (const SimTime t : {900 * kMicrosecond, 1200 * kMicrosecond, 1700 * kMicrosecond}) {
+    net.loop().schedule_at(t, [&, t] { stats_at.emplace_back(t, cp.stats()); });
+  }
+  cp.start(/*horizon=*/1800 * kMicrosecond);
+  net.run();
+
+  EXPECT_EQ(route_at.at(200 * kMicrosecond), std::nullopt) << "dark from t=0";
+  EXPECT_EQ(route_at.at(900 * kMicrosecond), std::optional<fib::NextHop>(a_to_b));
+  EXPECT_EQ(route_at.at(1200 * kMicrosecond), std::nullopt)
+      << "the partitioned destination's route must be withdrawn";
+  EXPECT_EQ(route_at.at(1700 * kMicrosecond), std::optional<fib::NextHop>(a_to_b))
+      << "the route must come back with the link";
+  // B's own delivery route never moves: the one withdrawal is A's.
+  ASSERT_EQ(stats_at.size(), 3u);
+  EXPECT_EQ(stats_at[0].second.routes_withdrawn, 0u);
+  EXPECT_EQ(stats_at[1].second.routes_withdrawn, 1u);
+  EXPECT_EQ(stats_at[2].second.routes_withdrawn, 1u);
+  EXPECT_EQ(stats_at[2].second.routes_installed, stats_at[1].second.routes_installed + 1);
+
+  const ctrl::ControlPlaneStats& st = cp.stats();
+  EXPECT_EQ(st.link_down_events, 1u);
+  EXPECT_EQ(st.link_up_events, 2u);
+  telemetry::StatsWriter w;
+  cp.write_stats(w);
+  EXPECT_NE(w.text().find("dip_ctrl_routes_withdrawn_total 1\n"), std::string::npos)
+      << w.text();
+}
+
 TEST(ControlPlane, PublishIntervalRateLimitsButConverges) {
   // Same diamond, but publishes are rate-limited well above the poll rate:
   // deltas decided inside the window coalesce and land in one publish.
