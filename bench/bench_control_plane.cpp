@@ -18,8 +18,9 @@
 // the FIB lookup being measured (the cache would mask the indirection).
 //
 // JSON trajectory: BENCH_control_plane.json, refreshed via
-//   build/bench/bench_control_plane --benchmark_min_time=0.2 \
+//   build/bench/bench_control_plane --benchmark_min_time=0.2
 //     --benchmark_out=BENCH_control_plane.json --benchmark_out_format=json
+// (one command line).
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"

@@ -142,20 +142,14 @@ int main(int argc, char** argv) {
   }
   std::printf("\n[latency] per-phase and per-FN histograms (merged workers):\n");
   {
-    telemetry::HistogramSnapshot bind, validate, dispatch;
-    std::array<telemetry::HistogramSnapshot, telemetry::RouterStats::kOpKeySlots>
-        fn{};
+    telemetry::RouterStatsSnapshot merged;
     for (std::size_t w = 0; w < pool.workers(); ++w) {
-      const auto* stats = pool.router(w).env().stats.get();
-      if (stats == nullptr) continue;
-      bind += stats->phase_bind.snapshot();
-      validate += stats->phase_validate.snapshot();
-      dispatch += stats->phase_dispatch.snapshot();
-      for (std::size_t k = 0; k < fn.size(); ++k) fn[k] += stats->fn_ns[k].snapshot();
+      if (const auto* stats = pool.router(w).env().stats.get()) merged += stats->snapshot();
     }
-    print_histogram_digest("phase bind/burst", bind);
-    print_histogram_digest("phase validate/burst", validate);
-    print_histogram_digest("phase dispatch/burst", dispatch);
+    const auto& fn = merged.fn_ns;
+    print_histogram_digest("phase bind/burst", merged.phase_bind);
+    print_histogram_digest("phase validate/burst", merged.phase_validate);
+    print_histogram_digest("phase dispatch/burst", merged.phase_dispatch);
     for (std::size_t k = 0; k < fn.size(); ++k) {
       if (fn[k].count == 0) continue;
       const std::string name(core::op_key_name(static_cast<core::OpKey>(k)));

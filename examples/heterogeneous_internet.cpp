@@ -33,9 +33,10 @@ int main() {
   graph.add_as(2, bootstrap::full_capability_set());
   graph.add_as(3, no_opt);
   graph.add_as(4, bootstrap::full_capability_set());
-  graph.add_link(1, 2);
-  graph.add_link(2, 3);
-  graph.add_link(3, 4);
+  if (!graph.add_link(1, 2) || !graph.add_link(2, 3) || !graph.add_link(3, 4)) {
+    std::fprintf(stderr, "AS graph: a link joins an unknown AS\n");
+    return 1;
+  }
 
   // --- the wire-level topology: one border router per AS ------------------
   netsim::Network net;

@@ -48,10 +48,11 @@ namespace dip::core {
 /// How the router treats structurally damaged packets (chaos links flip
 /// bytes; see docs/FAULTS.md).
 ///   * kStrict  — bind failures drop as kMalformed (historical behaviour).
-///   * kLenient — bind failures *and* FN slices that overrun the locations
-///     block are quarantined: dropped as kCorruptQuarantine, counted in
-///     counters.quarantined, and force-recorded into the TraceRing (the
-///     sampler is bypassed so no corrupt packet escapes the ledger).
+///   * kLenient — bind failures (truncation, a bad checksum, an FN slice
+///     that overruns the locations block) are quarantined: dropped as
+///     kCorruptQuarantine, counted in counters.quarantined, and
+///     force-recorded into the TraceRing (the sampler is bypassed so no
+///     corrupt packet escapes the ledger).
 enum class ValidationMode : std::uint8_t { kStrict, kLenient };
 
 /// One slot of a burst handed to Router::process_batch: a view over the
@@ -83,10 +84,6 @@ class Router {
   void process_batch(std::span<const PacketRef> packets, FaceId ingress, SimTime now,
                      std::span<ProcessResult> results);
 
-  /// Convenience overload allocating the result vector.
-  [[nodiscard]] std::vector<ProcessResult> process_batch(
-      std::span<const PacketRef> packets, FaceId ingress, SimTime now);
-
   [[nodiscard]] RouterEnv& env() noexcept { return env_; }
   [[nodiscard]] const RouterEnv& env() const noexcept { return env_; }
   [[nodiscard]] ValidationMode validation() const noexcept { return validation_; }
@@ -108,14 +105,25 @@ class Router {
     std::uint64_t errors = 0;
   };
 
-  /// Run one FN; returns false when processing must stop (drop/error).
-  bool run_fn(const FnTriple& fn, HeaderView& view, FaceId ingress, SimTime now,
-              FnRunState& state, ProcessResult& result);
+  /// Burst-wide per-packet state the wave kernels read and write, indexed
+  /// by packet.
+  struct Wave {
+    FaceId ingress;
+    SimTime now;
+    FnRunState* states;
+    std::uint8_t* alive;
+    const std::uint8_t* sampled;
+    std::span<ProcessResult> results;
+  };
 
-  /// Execute a match FN through the flow cache (memoized FIB verdict).
-  bool run_match(const FnTriple& fn, OpModule* module, HeaderView& view,
-                 FaceId ingress, SimTime now, FnRunState& state,
-                 ProcessResult& result);
+  /// Run one FN; returns false when processing must stop (drop/error).
+  /// `sampled` times the module into env_.stats->fn_ns.
+  bool run_fn(const FnTriple& fn, HeaderView& view, FaceId ingress, SimTime now,
+              bool sampled, FnRunState& state, ProcessResult& result);
+
+  /// Whether `fn` is a router-side FN whose module keeps cross-packet state
+  /// (not op_burst_commutes): such FNs must run in arrival order.
+  [[nodiscard]] bool stateful(const FnTriple& fn) const noexcept;
 
   /// Per-packet epilogue shared by every dispatch shape: default-egress
   /// fallback (else a kNoRoute drop), a trace record when `sampled`, and
@@ -127,18 +135,13 @@ class Router {
   void record_trace(const HeaderView& view, FaceId ingress, SimTime now,
                     std::uint64_t t_start, const ProcessResult& result);
 
-  /// Lenient-mode quarantine: tag the result, bump the quarantined counter,
-  /// and force a trace-ring record (`view` may be null when bind failed).
-  void quarantine(const HeaderView* view, FaceId ingress, SimTime now,
-                  ProcessResult& result);
-
-  /// True when every FN slice fits inside the locations block (lenient-mode
-  /// structural check; corrupt loc/len triples fail this).
-  [[nodiscard]] static bool fns_fit(const HeaderView& view) noexcept;
+  /// Lenient-mode quarantine of a packet that failed to bind: tag the
+  /// result, bump the quarantined counter, and force a trace-ring record.
+  void quarantine(FaceId ingress, SimTime now, ProcessResult& result);
 
   /// Phase 2 of process_batch: classify the burst, run eligible packets
   /// through position-major waves (module-major within each wave), the
-  /// rest through the legacy per-packet path. Accumulates the phase's
+  /// rest through the per-packet path. Accumulates the phase's
   /// action tallies into `tally`.
   /// `waves_allowed`/`exemplar`/`uniform` carry phase 1's uniform-program
   /// detection (exemplar == packet count when no packet bound).
@@ -152,48 +155,37 @@ class Router {
   /// wave is one whole-burst group in arrival order — no per-packet
   /// classification and no counting sort. `exemplar` indexes the packet
   /// whose program stands for the burst.
-  void dispatch_burst_uniform(std::size_t n, FaceId ingress, SimTime now,
-                              std::span<ProcessResult> results,
+  void dispatch_burst_uniform(std::size_t n, const Wave& w,
                               telemetry::RouterStats* stats, std::size_t exemplar,
-                              std::uint8_t* smp, std::uint8_t* alive,
-                              FnRunState* states, Tally& tally);
-
-  /// Route one same-key wave group to its kernel: the §2.4 unsupported
-  /// handling once per group, then flow-cache match / batched crypto /
-  /// per-item fallback.
-  void wave_group(OpKey key, OpModule* module, std::size_t pos,
-                  const std::uint16_t* items, std::size_t count, FaceId ingress,
-                  SimTime now, FnRunState* states, std::uint8_t* alive,
-                  const std::uint8_t* sampled, std::span<ProcessResult> results);
+                              Tally& tally);
 
   // Wave-group kernels (contracts in router.cpp). `items` are packet
   // indices of one same-key group at FN position `pos`, in arrival order.
-  void wave_match(OpKey key, OpModule* module, std::size_t pos,
-                  const std::uint16_t* items, std::size_t count, FaceId ingress,
-                  SimTime now, FnRunState* states, std::uint8_t* alive,
-                  const std::uint8_t* sampled, std::span<ProcessResult> results);
-  void wave_parm(OpModule* module, std::size_t pos, const std::uint16_t* items,
-                 std::size_t count, FnRunState* states, std::uint8_t* alive,
-                 const std::uint8_t* sampled, std::span<ProcessResult> results,
-                 FaceId ingress, SimTime now);
-  void wave_mac(OpModule* module, std::size_t pos, const std::uint16_t* items,
-                std::size_t count, FnRunState* states, std::uint8_t* alive,
-                const std::uint8_t* sampled, std::span<ProcessResult> results,
-                FaceId ingress, SimTime now);
-  /// Fallback kernel: run each item through run_fn (exact legacy per-FN
-  /// semantics), in arrival order.
-  void wave_run_items(std::size_t pos, const std::uint16_t* items, std::size_t count,
-                      FaceId ingress, SimTime now, FnRunState* states,
-                      std::uint8_t* alive, const std::uint8_t* sampled,
-                      std::span<ProcessResult> results);
+  /// Route one group to its kernel: the §2.4 unsupported handling once per
+  /// group, then flow-cache match / batched crypto / per-item fallback.
+  void wave_group(OpKey key, OpModule* module, const Wave& w, std::size_t pos,
+                  const std::uint16_t* items, std::size_t count);
+  void wave_match(OpKey key, OpModule& module, const Wave& w, std::size_t pos,
+                  const std::uint16_t* items, std::size_t count);
+  void wave_parm(OpModule& module, const Wave& w, std::size_t pos,
+                 const std::uint16_t* items, std::size_t count);
+  void wave_mac(OpModule& module, const Wave& w, std::size_t pos,
+                const std::uint16_t* items, std::size_t count);
+  /// Fallback kernel: each item through run_fn, in arrival order.
+  void wave_run_items(const Wave& w, std::size_t pos, const std::uint16_t* items,
+                      std::size_t count);
+  /// Packet `p`'s FN at `pos` through run_fn (alive[p] cleared on stop).
+  void wave_run_item(const Wave& w, std::size_t pos, std::size_t p);
+  /// The kernels' shared admission step for packet `p`: a sampled or
+  /// non-`batchable` item runs through run_fn; a batchable one is charged
+  /// `cost` (dropped when over budget). True when the kernel owns it.
+  bool wave_admit(const Wave& w, std::size_t pos, std::size_t p, bool batchable,
+                  std::uint32_t cost);
 
-  /// Legacy per-packet dispatch: FN[] in order, or the relaxed schedule
-  /// when the §2.2 parallel bit is set and verified safe.
-  void dispatch(HeaderView& view, FaceId ingress, SimTime now, ProcessResult& result);
-  /// Relaxed-order schedule for the §2.2 parallel bit (any order is legal;
-  /// we run the FN list back to front).
-  void dispatch_relaxed(HeaderView& view, FaceId ingress, SimTime now,
-                        ProcessResult& result);
+  /// Per-packet dispatch: FN[] in order, or back to front (the relaxed
+  /// schedule) when the §2.2 parallel bit is set and verified safe.
+  void dispatch(HeaderView& view, FaceId ingress, SimTime now, bool sampled,
+                ProcessResult& result);
 
   /// True when every router-side FN is order-independent and their target
   /// fields are pairwise disjoint — the safety condition for relaxing
@@ -220,11 +212,6 @@ class Router {
   /// crypto lanes); reset at every burst boundary, so warmed-up bursts
   /// never touch the heap.
   BurstArena arena_;
-
-  // True while dispatching a packet the stats sampler picked: run_fn then
-  // times module execution into env_.stats->fn_ns. Always false when stats
-  // are disabled, so the per-FN cost is a single predictable branch.
-  bool sample_this_packet_ = false;
 };
 
 }  // namespace dip::core

@@ -1,5 +1,6 @@
 #include "dip/core/router.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <new>
@@ -15,19 +16,179 @@
 
 namespace dip::core {
 
+namespace {
+
+// The shared per-FN steps every dispatch shape calls: the module call, the
+// §2.4 budget charge and unsupported-FN rule, and the flow-cached match.
+
+/// Build the OpContext for `fn` and execute `module`; a module error drops
+/// the packet as kMalformed and returns false.
+bool execute(RouterEnv& env, OpModule& module, const FnTriple& fn, HeaderView& view,
+             FaceId ingress, SimTime now, OpScratch& scratch, ProcessResult& result) {
+  OpContext ctx;
+  ctx.locations = view.locations();
+  ctx.field = fn.range();
+  ctx.fn = fn;
+  ctx.payload = view.payload();
+  ctx.ingress = ingress;
+  ctx.now = now;
+  ctx.env = &env;
+  ctx.result = &result;
+  ctx.scratch = &scratch;
+  if (const auto st = module.execute(ctx); !st) {
+    result.drop(DropReason::kMalformed);
+    return false;
+  }
+  return true;
+}
+
+/// §2.4 hard per-packet processing limit: charge `cost`, or drop the packet
+/// as kBudgetExhausted (false) when it has less left.
+bool charge(std::uint32_t& budget, std::uint32_t cost, ProcessResult& result) {
+  if (cost > budget) {
+    result.drop(DropReason::kBudgetExhausted);
+    return false;
+  }
+  budget -= cost;
+  return true;
+}
+
+/// §2.4 heterogeneous configuration, for `count` packets whose FN `key`
+/// this node cannot honor: true when the FN is path-critical (the caller
+/// fails them with the ICMP-like notification), else the FN is skipped as
+/// optional.
+bool unsupported_fatal(RouterEnv& env, OpKey key, std::size_t count) {
+  const auto info = fn_info(key);
+  if (info && info->requires_full_path) return true;
+  env.counters.fn_skipped_optional += count;
+  return false;
+}
+
+void count_executed(RouterEnv& env, OpKey key, std::uint64_t n) {
+  env.counters.fn_executed += n;
+  env.counters.fn_by_key[static_cast<std::size_t>(key) % env.counters.fn_by_key.size()] += n;
+}
+
+/// The flow cache's view of one match key, resolved once per wave group
+/// (per FN on the per-packet path). `width` is the cacheable slice length
+/// in bytes, 0 when nothing is cacheable (no cache, not a match key, or no
+/// FIB); `f32` is the v4 FIB a miss prefetches into.
+struct MatchCtx {
+  FlowCache* cache = nullptr;
+  const fib::Ipv4Lpm* f32 = nullptr;
+  std::size_t width = 0;
+  std::uint64_t generation = 0;
+};
+
+MatchCtx match_ctx(RouterEnv& env, OpKey key) {
+  MatchCtx m;
+  m.cache = env.flow_cache.get();
+  if (m.cache == nullptr) return m;
+  if (key == OpKey::kMatch32) {
+    m.f32 = env.fib32_view();
+    if (m.f32 != nullptr) {
+      m.width = 4;
+      m.generation = m.f32->generation();
+    }
+  } else if (key == OpKey::kMatch128) {
+    if (const fib::Ipv6Lpm* f128 = env.fib128_view()) {
+      m.width = 16;
+      m.generation = f128->generation();
+    }
+  }
+  return m;
+}
+
+/// The cache key of match FN `fn` — its sliced field — or null when the
+/// slice is not the canonical byte-aligned width and must take the plain
+/// module path.
+const std::uint8_t* match_slice(const MatchCtx& m, const HeaderView& view,
+                                const FnTriple& fn) {
+  const bytes::BitRange range = fn.range();
+  if (m.width == 0 || !range.byte_aligned() || range.bit_length / 8 != m.width) {
+    return nullptr;
+  }
+  return view.locations().data() + range.bit_offset / 8;
+}
+
+/// Flow-cache counter deltas, flushed once per group.
+struct MatchTally {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+
+  void flush(RouterEnv& env) const {
+    if (hits != 0) env.counters.flow_cache_hits += hits;
+    if (misses != 0) env.counters.flow_cache_misses += misses;
+  }
+};
+
+/// One flow-cached match FN, budget already charged: probe `slice` (hash
+/// `hash`); on a miss run the module and memoize a forward or no-route
+/// verdict. A hit is exactly what the module would compute under this FIB
+/// generation. Returns false when processing must stop.
+inline bool match_item(RouterEnv& env, const MatchCtx& m, const std::uint8_t* slice,
+                       std::uint64_t hash, OpModule& module, const FnTriple& fn,
+                       HeaderView& view, FaceId ingress, SimTime now,
+                       OpScratch& scratch, ProcessResult& result, MatchTally& tally) {
+  const std::span<const std::uint8_t> key{slice, m.width};
+  if (const FlowCache::Verdict* v = m.cache->find_hashed(key, hash, m.generation)) {
+    ++tally.hits;
+    if (v->no_route) {
+      result.drop(DropReason::kNoRoute);
+      return false;
+    }
+    result.egress.assign(1, v->egress);
+    return result.action == Action::kForward;
+  }
+  ++tally.misses;
+  if (m.f32 != nullptr) {
+    // Pull the FIB's first dependent load (DIR-24-8 base slab) while the
+    // module sets up its walk.
+    fib::Ipv4Addr addr{};
+    std::memcpy(addr.bytes.data(), slice, 4);
+    m.f32->prefetch(addr);
+  }
+  const bool egress_was_empty = result.egress.empty();
+  if (!execute(env, module, fn, view, ingress, now, scratch, result)) return false;
+  if (result.action == Action::kForward && egress_was_empty &&
+      result.egress.size() == 1) {
+    m.cache->insert(key, m.generation, {result.egress[0], false});
+  } else if (result.action == Action::kDrop && result.reason == DropReason::kNoRoute) {
+    m.cache->insert(key, m.generation, {0, true});
+  }
+  return result.action == Action::kForward;
+}
+
+/// The trace record of one packet's verdict, timing fields zero (`view` is
+/// null when bind failed).
+telemetry::TraceRecord trace_record(const HeaderView* view, FaceId ingress,
+                                    SimTime now, const ProcessResult& result) {
+  static_assert(telemetry::TraceRecord::kMaxFns == HeaderView::kMaxFns);
+  telemetry::TraceRecord rec;
+  rec.sim_now = now;
+  rec.ingress = ingress;
+  if (view != nullptr) {
+    const auto fns = view->fns();
+    rec.fn_count = static_cast<std::uint8_t>(fns.size());
+    for (std::size_t i = 0; i < fns.size(); ++i) {
+      rec.fns[i] = {fns[i].field_loc, fns[i].field_len, fns[i].op};
+    }
+  }
+  rec.action = static_cast<std::uint8_t>(result.action);
+  rec.reason = static_cast<std::uint8_t>(result.reason);
+  rec.egress_count = static_cast<std::uint8_t>(
+      result.egress.size() < 255 ? result.egress.size() : 255);
+  return rec;
+}
+
+}  // namespace
+
 ProcessResult Router::process(std::span<std::uint8_t> packet, FaceId ingress,
                               SimTime now) {
   const PacketRef ref(packet);
   ProcessResult result;
   process_batch({&ref, 1}, ingress, now, {&result, 1});
   return result;
-}
-
-std::vector<ProcessResult> Router::process_batch(std::span<const PacketRef> packets,
-                                                 FaceId ingress, SimTime now) {
-  std::vector<ProcessResult> results(packets.size());
-  process_batch(packets, ingress, now, results);
-  return results;
 }
 
 void Router::process_batch(std::span<const PacketRef> packets, FaceId ingress,
@@ -42,7 +203,7 @@ void Router::process_batch(std::span<const PacketRef> packets, FaceId ingress,
   views_.resize(n);
   bound_.resize(n);  // every slot is written by phase 1 below
 
-  // Phase timing is burst-sampled: the three histograms cost six clock
+  // Phase timing is burst-sampled: the three histograms cost four clock
   // reads per *sampled* burst, nothing on the rest.
   telemetry::RouterStats* stats = env_.stats.get();
   const bool burst_timed = stats != nullptr && stats->burst_sampler.tick();
@@ -55,148 +216,80 @@ void Router::process_batch(std::span<const PacketRef> packets, FaceId ingress,
   // items index packets in 16 bits, bounding the burst at 64k.
   const bool waves_allowed = n >= 2 && n <= 0xFFFF;
 
-  // Uniform-program detection rides phase 1: line-rate traffic is
+  // Phase 1a: bind every header in place (bind_into writes the batch
+  // scratch slot directly — no by-value HeaderView copy). Headers are
+  // prefetched one packet ahead: the basic header and FN triples of packet
+  // i+1 land in L1 while packet i decodes.
+  const bool lenient = validation_ == ValidationMode::kLenient;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + 1 < n && !packets[i + 1].bytes.empty()) {
+      DIP_PREFETCH_R(packets[i + 1].bytes.data());
+      if (packets[i + 1].bytes.size() > 64) {
+        DIP_PREFETCH_R(packets[i + 1].bytes.data() + 64);
+      }
+    }
+    results[i].reset();
+    bound_[i] = 0;
+    if (auto st = HeaderView::bind_into(packets[i].bytes, views_[i]); !st) {
+      if (lenient) {
+        quarantine(ingress, now, results[i]);
+      } else {
+        results[i].drop(DropReason::kMalformed);
+      }
+      continue;
+    }
+    bound_[i] = 1;
+  }
+  if (burst_timed) {
+    const std::uint64_t t = telemetry::now_ns();
+    stats->phase_bind.record(t - t_phase);
+    t_phase = t;
+  }
+
+  // Phase 1b: structural checks + hop-limit decrement for every bound
+  // packet. Uniform-program detection rides along: line-rate traffic is
   // overwhelmingly homogeneous (every packet carries the same FN triples;
   // only the field *contents* differ flow to flow), and spotting that here
   // lets dispatch_burst classify the program once for the whole burst.
   // `exemplar` is the first bound packet; `uniform` stays true while every
   // later bound packet matches its program.
+  Tally tally;
   std::size_t exemplar = n;
   bool uniform = waves_allowed;
-  const auto track_uniform = [&](std::size_t i) {
-    if (!uniform) return;
-    if (exemplar == n) {
-      exemplar = i;
-      return;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!bound_[i]) {
+      ++tally.dropped;
+      continue;
     }
-    const auto a = views_[exemplar].fns();
-    const auto b = views_[i].fns();
-    if (b.size() != a.size() ||
-        views_[i].basic().parallel != views_[exemplar].basic().parallel) {
-      uniform = false;
-      return;
+    HeaderView& view = views_[i];
+    if (view.fns().size() > env_.limits.max_fn_per_packet) {
+      results[i].drop(DropReason::kBudgetExhausted);
+    } else if (!view.decrement_hop_limit()) {
+      results[i].drop(DropReason::kHopLimitExceeded);
+    } else {
+      if (uniform && exemplar == n) {
+        exemplar = i;
+      } else if (uniform) {
+        const HeaderView& ex = views_[exemplar];
+        uniform = view.basic().parallel == ex.basic().parallel &&
+                  std::ranges::equal(view.fns(), ex.fns());
+      }
+      continue;
     }
-    for (std::size_t f = 0; f < a.size(); ++f) {
-      if (a[f] != b[f]) {
-        uniform = false;
-        return;
-      }
-    }
-  };
-
-  // Phase 1: bind every header in place (bind_into writes the batch
-  // scratch slot directly — no by-value HeaderView copy), then the
-  // structural checks + hop-limit decrement. Headers are prefetched one
-  // packet ahead: the basic header and FN triples of packet i+1 land in L1
-  // while packet i decodes. Untimed bursts take one merged pass; timed
-  // bursts split it so the bind/validate histograms stay separable.
-  Tally tally;
-  const bool lenient = validation_ == ValidationMode::kLenient;
-  if (!burst_timed) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i + 1 < n && !packets[i + 1].bytes.empty()) {
-        DIP_PREFETCH_R(packets[i + 1].bytes.data());
-        if (packets[i + 1].bytes.size() > 64) {
-          DIP_PREFETCH_R(packets[i + 1].bytes.data() + 64);
-        }
-      }
-      results[i].reset();
-      bound_[i] = 0;
-      if (auto st = HeaderView::bind_into(packets[i].bytes, views_[i]); !st) {
-        if (lenient) {
-          quarantine(nullptr, ingress, now, results[i]);
-        } else {
-          results[i].drop(DropReason::kMalformed);
-        }
-        ++tally.dropped;
-        continue;
-      }
-      if (lenient && !fns_fit(views_[i])) {
-        // A bindable header whose FN slices overrun the locations block is
-        // byte damage, not a protocol violation: quarantine it.
-        quarantine(&views_[i], ingress, now, results[i]);
-        ++tally.dropped;
-        continue;
-      }
-      if (views_[i].fns().size() > env_.limits.max_fn_per_packet) {
-        results[i].drop(DropReason::kBudgetExhausted);
-        ++tally.dropped;
-        continue;
-      }
-      if (!views_[i].decrement_hop_limit()) {
-        results[i].drop(DropReason::kHopLimitExceeded);
-        ++tally.dropped;
-        continue;
-      }
-      bound_[i] = 1;
-      track_uniform(i);
-    }
-  } else {
-    // Phase 1a: bind.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i + 1 < n && !packets[i + 1].bytes.empty()) {
-        DIP_PREFETCH_R(packets[i + 1].bytes.data());
-        if (packets[i + 1].bytes.size() > 64) {
-          DIP_PREFETCH_R(packets[i + 1].bytes.data() + 64);
-        }
-      }
-      results[i].reset();
-      bound_[i] = 0;
-      if (auto st = HeaderView::bind_into(packets[i].bytes, views_[i]); !st) {
-        if (lenient) {
-          quarantine(nullptr, ingress, now, results[i]);
-        } else {
-          results[i].drop(DropReason::kMalformed);
-        }
-        continue;
-      }
-      bound_[i] = 1;
-    }
-    {
-      const std::uint64_t t = telemetry::now_ns();
-      stats->phase_bind.record(t - t_phase);
-      t_phase = t;
-    }
-
-    // Phase 1b: structural checks + hop-limit decrement for every bound
-    // packet.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!bound_[i]) {
-        ++tally.dropped;
-        continue;
-      }
-      if (lenient && !fns_fit(views_[i])) {
-        quarantine(&views_[i], ingress, now, results[i]);
-        bound_[i] = 0;
-        ++tally.dropped;
-        continue;
-      }
-      if (views_[i].fns().size() > env_.limits.max_fn_per_packet) {
-        results[i].drop(DropReason::kBudgetExhausted);
-        bound_[i] = 0;
-        ++tally.dropped;
-        continue;
-      }
-      if (!views_[i].decrement_hop_limit()) {
-        results[i].drop(DropReason::kHopLimitExceeded);
-        bound_[i] = 0;
-        ++tally.dropped;
-        continue;
-      }
-      track_uniform(i);
-    }
-    {
-      const std::uint64_t t = telemetry::now_ns();
-      stats->phase_validate.record(t - t_phase);
-      t_phase = t;
-    }
+    bound_[i] = 0;
+    ++tally.dropped;
+  }
+  if (burst_timed) {
+    const std::uint64_t t = telemetry::now_ns();
+    stats->phase_validate.record(t - t_phase);
+    t_phase = t;
   }
 
   if (stats != nullptr) stats->burst_bound += n - tally.dropped;
 
   // Phase 2: dispatch FNs. Eligible packets go through position-major
-  // waves (module-major within a wave); the rest take the legacy
-  // per-packet path. See dispatch_burst for the eligibility contract.
+  // waves (module-major within a wave); the rest take the per-packet
+  // path. See dispatch_burst for the eligibility contract.
   dispatch_burst(packets, ingress, now, results, stats, waves_allowed, exemplar,
                  uniform, tally);
   if (stats != nullptr) {
@@ -228,7 +321,7 @@ void Router::dispatch_burst(std::span<const PacketRef> packets, FaceId ingress,
   constexpr std::uint8_t kDead = 0, kWave = 1, kLegacy = 2;
   std::uint8_t* alive = arena_.alloc<std::uint8_t>(n);
   std::uint8_t* smp = arena_.alloc<std::uint8_t>(n);
-  FnRunState* states = arena_.alloc<FnRunState>(n);
+  const Wave w{ingress, now, arena_.alloc<FnRunState>(n), alive, smp, results};
 
   // Deterministic sampling: one tick per bound packet in arrival order —
   // the identical tick sequence the per-packet engine produced, so a
@@ -243,21 +336,14 @@ void Router::dispatch_burst(std::span<const PacketRef> packets, FaceId ingress,
 
   // ---- uniform-burst fast plan -------------------------------------------
   // Phase 1 already proved every bound packet carries the identical FN
-  // program (see track_uniform in process_batch), so classify the program
+  // program (see phase 1b in process_batch), so classify the program
   // once: each wave is a single same-key group already in arrival order,
   // and the per-packet classification and counting sort below are skipped
   // entirely. Mixed bursts fall through to the general plan.
   if (uniform && exemplar != n && !views_[exemplar].basic().parallel) {
-    std::uint8_t stateful = 0;
-    for (const FnTriple& fn : views_[exemplar].fns()) {
-      if (fn.host_tagged()) continue;
-      if (find_module(fn.key()) != nullptr && !op_burst_commutes(fn.key())) {
-        ++stateful;
-      }
-    }
-    if (stateful <= 1) {
-      dispatch_burst_uniform(n, ingress, now, results, stats, exemplar, smp,
-                             alive, states, tally);
+    const auto fns = views_[exemplar].fns();
+    if (std::ranges::count_if(fns, [&](const FnTriple& fn) { return stateful(fn); }) <= 1) {
+      dispatch_burst_uniform(n, w, stats, exemplar, tally);
       return;
     }
   }
@@ -265,10 +351,10 @@ void Router::dispatch_burst(std::span<const PacketRef> packets, FaceId ingress,
   // ---- classification ---------------------------------------------------
   // A packet rides the wave path iff it has no parallel bit (the §2.2
   // relax path and its counters stay per-packet) and at most one stateful
-  // (non-burst_commutes) router-side FN. All stateful FNs across the burst
-  // must sit at the same FN position: waves preserve arrival order within
-  // one position, so that is exactly the condition under which cross-packet
-  // state (PIT, DPS buckets, CC estimators) observes the legacy order.
+  // router-side FN. All stateful FNs across the burst must sit at the same
+  // FN position: waves preserve arrival order within one position, so that
+  // is exactly the condition under which cross-packet state (PIT, DPS
+  // buckets, CC estimators) observes the per-packet order.
   std::uint8_t* mode = arena_.alloc<std::uint8_t>(n);
   std::uint8_t* sfn = arena_.alloc<std::uint8_t>(n);  // stateful-FN count (capped at 2)
   bool stateful_ok = true;
@@ -289,30 +375,27 @@ void Router::dispatch_burst(std::span<const PacketRef> packets, FaceId ingress,
       continue;
     }
     const auto fns = views_[i].fns();
-    std::uint8_t stateful = 0;
+    std::uint8_t count = 0;
     std::uint8_t pos = 0;
     for (std::size_t f = 0; f < fns.size(); ++f) {
-      const FnTriple& fn = fns[f];
-      if (fn.host_tagged()) continue;
-      if (find_module(fn.key()) != nullptr && !op_burst_commutes(fn.key())) {
-        if (stateful == 0) pos = static_cast<std::uint8_t>(f);
-        if (stateful < 2) ++stateful;
-      }
+      if (!stateful(fns[f])) continue;
+      if (count == 0) pos = static_cast<std::uint8_t>(f);
+      if (count < 2) ++count;
     }
-    sfn[i] = stateful;
+    sfn[i] = count;
     if (views_[i].basic().parallel) {
       mode[i] = kLegacy;
       ++legacy_n;
-      if (stateful != 0) stateful_ok = false;
+      if (count != 0) stateful_ok = false;
       continue;
     }
-    if (stateful > 1) {
+    if (count > 1) {
       mode[i] = kLegacy;
       ++legacy_n;
       stateful_ok = false;
       continue;
     }
-    if (stateful == 1) {
+    if (count == 1) {
       if (stateful_pos == static_cast<std::size_t>(-1)) {
         stateful_pos = pos;
       } else if (stateful_pos != pos) {
@@ -346,16 +429,16 @@ void Router::dispatch_burst(std::span<const PacketRef> packets, FaceId ingress,
   if (wave_n != 0) {
     std::uint64_t t_wave = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      alive[i] = mode[i] == kWave ? 1 : 0;
-      if (alive[i]) {
-        new (&states[i]) FnRunState{env_.limits.per_packet_budget, {}};
+      w.alive[i] = mode[i] == kWave ? 1 : 0;
+      if (w.alive[i]) {
+        new (&w.states[i]) FnRunState{env_.limits.per_packet_budget, {}};
         if (smp[i] && t_wave == 0) t_wave = telemetry::now_ns();
       }
     }
 
     // Group buckets: one per dense commuting key, plus the shared stateful
     // bucket (kept in arrival order), the host-tag bucket, and a generic
-    // bucket for keys without a module (run_fn's skip/unsupported path).
+    // bucket for keys without a dense-table module (run_fn's per-FN path).
     constexpr std::size_t kStatefulBucket = kModuleTableSize;
     constexpr std::size_t kHostBucket = kModuleTableSize + 1;
     constexpr std::size_t kMiscBucket = kModuleTableSize + 2;
@@ -372,22 +455,20 @@ void Router::dispatch_burst(std::span<const PacketRef> packets, FaceId ingress,
       std::array<std::uint16_t, kBuckets> counts{};
       std::size_t wave_items = 0;
       for (std::size_t i = 0; i < n; ++i) {
-        if (!alive[i]) continue;
+        if (!w.alive[i]) continue;
         const auto fns = views_[i].fns();
         if (pos >= fns.size()) continue;
         const FnTriple& fn = fns[pos];
+        const auto key_idx = static_cast<std::size_t>(fn.key());
         std::size_t b;
         if (fn.host_tagged()) {
           b = kHostBucket;
+        } else if (stateful(fn)) {
+          b = kStatefulBucket;
+        } else if (key_idx < kModuleTableSize && module_table_[key_idx] != nullptr) {
+          b = key_idx;
         } else {
-          const auto key_idx = static_cast<std::size_t>(fn.key());
-          if (key_idx < kModuleTableSize && module_table_[key_idx] != nullptr) {
-            b = op_burst_commutes(fn.key()) ? key_idx : kStatefulBucket;
-          } else if (find_module(fn.key()) != nullptr) {
-            b = kStatefulBucket;  // out-of-table module: assume stateful
-          } else {
-            b = kMiscBucket;
-          }
+          b = kMiscBucket;
         }
         bucket_of[i] = static_cast<std::uint8_t>(b);
         ++counts[b];
@@ -405,7 +486,7 @@ void Router::dispatch_burst(std::span<const PacketRef> packets, FaceId ingress,
       }
       std::array<std::uint16_t, kBuckets> fill = start;
       for (std::size_t i = 0; i < n; ++i) {
-        if (!alive[i] || pos >= views_[i].fns().size()) continue;
+        if (!w.alive[i] || pos >= views_[i].fns().size()) continue;
         order[fill[bucket_of[i]]++] = static_cast<std::uint16_t>(i);
       }
 
@@ -416,15 +497,11 @@ void Router::dispatch_burst(std::span<const PacketRef> packets, FaceId ingress,
         if (b == kHostBucket) {
           // Algorithm 1 line 5, for the whole group at once.
           env_.counters.fn_skipped_host += cnt;
-          continue;
+        } else if (b == kStatefulBucket || b == kMiscBucket) {
+          wave_run_items(w, pos, items, cnt);
+        } else {
+          wave_group(static_cast<OpKey>(b), module_table_[b], w, pos, items, cnt);
         }
-        if (b == kStatefulBucket || b == kMiscBucket) {
-          wave_run_items(pos, items, cnt, ingress, now, states, alive, smp, results);
-          continue;
-        }
-        const OpKey key = static_cast<OpKey>(b);
-        wave_group(key, module_table_[b], pos, items, cnt, ingress, now, states,
-                   alive, smp, results);
       }
     }
 
@@ -434,27 +511,21 @@ void Router::dispatch_burst(std::span<const PacketRef> packets, FaceId ingress,
     }
   }
 
-  // ---- legacy per-packet dispatch ----------------------------------------
+  // ---- per-packet dispatch -----------------------------------------------
   // Runs after the waves; safe because by construction either the wave set
-  // or the legacy set holds all the burst's stateful FNs, never both, and
-  // commuting FNs are order-free across packets.
+  // or the per-packet set holds all the burst's stateful FNs, never both,
+  // and commuting FNs are order-free across packets.
   for (std::size_t i = 0; i < n; ++i) {
     if (mode[i] != kLegacy) continue;
-    ProcessResult& result = results[i];
     const std::uint64_t t_dispatch = smp[i] ? telemetry::now_ns() : 0;
-    sample_this_packet_ = smp[i] != 0;
-    dispatch(views_[i], ingress, now, result);
-    sample_this_packet_ = false;
-    finish_packet(i, ingress, now, smp[i] != 0, t_dispatch, result, tally);
+    dispatch(views_[i], ingress, now, smp[i] != 0, results[i]);
+    finish_packet(i, ingress, now, smp[i] != 0, t_dispatch, results[i], tally);
   }
 }
 
-void Router::dispatch_burst_uniform(std::size_t n, FaceId ingress, SimTime now,
-                                    std::span<ProcessResult> results,
+void Router::dispatch_burst_uniform(std::size_t n, const Wave& w,
                                     telemetry::RouterStats* stats,
-                                    std::size_t exemplar, std::uint8_t* smp,
-                                    std::uint8_t* alive, FnRunState* states,
-                                    Tally& tally) {
+                                    std::size_t exemplar, Tally& tally) {
   // The whole burst is one wave group per FN position: `live` lists the
   // still-running packets in arrival order and is compacted in place after
   // each wave, so group order is always arrival order (the stateful-FN
@@ -463,11 +534,11 @@ void Router::dispatch_burst_uniform(std::size_t n, FaceId ingress, SimTime now,
   std::size_t live_n = 0;
   std::uint64_t t_wave = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    alive[i] = bound_[i];
+    w.alive[i] = bound_[i];
     if (!bound_[i]) continue;
-    new (&states[i]) FnRunState{env_.limits.per_packet_budget, {}};
+    new (&w.states[i]) FnRunState{env_.limits.per_packet_budget, {}};
     live[live_n++] = static_cast<std::uint16_t>(i);
-    if (smp[i] && t_wave == 0) t_wave = telemetry::now_ns();
+    if (w.sampled[i] && t_wave == 0) t_wave = telemetry::now_ns();
   }
   if (stats != nullptr) stats->burst_wave += live_n;
 
@@ -479,37 +550,28 @@ void Router::dispatch_burst_uniform(std::size_t n, FaceId ingress, SimTime now,
       env_.counters.fn_skipped_host += live_n;
       continue;
     }
-    const OpKey key = fn.key();
-    wave_group(key, find_module(key), pos, live, live_n, ingress, now, states,
-               alive, smp, results);
-    std::size_t w = 0;
-    for (std::size_t k = 0; k < live_n; ++k) {
-      if (alive[live[k]]) live[w++] = live[k];
+    wave_group(fn.key(), find_module(fn.key()), w, pos, live, live_n);
+    std::size_t k = 0;
+    for (std::size_t j = 0; j < live_n; ++j) {
+      if (w.alive[live[j]]) live[k++] = live[j];
     }
-    live_n = w;
+    live_n = k;
   }
 
   for (std::size_t i = 0; i < n; ++i) {
     if (!bound_[i]) continue;
-    finish_packet(i, ingress, now, smp[i] != 0, t_wave, results[i], tally);
+    finish_packet(i, w.ingress, w.now, w.sampled[i] != 0, t_wave, w.results[i], tally);
   }
 }
 
-void Router::wave_group(OpKey key, OpModule* module, std::size_t pos,
-                        const std::uint16_t* items, std::size_t count,
-                        FaceId ingress, SimTime now, FnRunState* states,
-                        std::uint8_t* alive, const std::uint8_t* sampled,
-                        std::span<ProcessResult> results) {
+void Router::wave_group(OpKey key, OpModule* module, const Wave& w, std::size_t pos,
+                        const std::uint16_t* items, std::size_t count) {
   if (module == nullptr || !env_.supports(key)) {
-    // run_fn's §2.4 heterogeneous-configuration path, once per group.
-    const auto info = fn_info(key);
-    if (info && info->requires_full_path) {
+    if (unsupported_fatal(env_, key, count)) {
       for (std::size_t k = 0; k < count; ++k) {
-        results[items[k]].fail_unsupported(key);
-        alive[items[k]] = 0;
+        w.results[items[k]].fail_unsupported(key);
+        w.alive[items[k]] = 0;
       }
-    } else {
-      env_.counters.fn_skipped_optional += count;
     }
     return;
   }
@@ -517,79 +579,67 @@ void Router::wave_group(OpKey key, OpModule* module, std::size_t pos,
     case OpKey::kMatch32:
     case OpKey::kMatch128:
       if (env_.flow_cache != nullptr) {
-        wave_match(key, module, pos, items, count, ingress, now, states, alive,
-                   sampled, results);
+        wave_match(key, *module, w, pos, items, count);
         return;
       }
       break;
     case OpKey::kParm:
-      wave_parm(module, pos, items, count, states, alive, sampled, results,
-                ingress, now);
+      wave_parm(*module, w, pos, items, count);
       return;
     case OpKey::kMac:
       if (env_.mac_kind == crypto::MacKind::kEm2) {
-        wave_mac(module, pos, items, count, states, alive, sampled, results,
-                 ingress, now);
+        wave_mac(*module, w, pos, items, count);
         return;
       }
       break;
     default:
       break;
   }
-  wave_run_items(pos, items, count, ingress, now, states, alive, sampled, results);
+  wave_run_items(w, pos, items, count);
 }
 
-void Router::wave_run_items(std::size_t pos, const std::uint16_t* items,
-                            std::size_t count, FaceId ingress, SimTime now,
-                            FnRunState* states, std::uint8_t* alive,
-                            const std::uint8_t* sampled,
-                            std::span<ProcessResult> results) {
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::size_t p = items[k];
-    sample_this_packet_ = sampled[p] != 0;
-    if (!run_fn(views_[p].fns()[pos], views_[p], ingress, now, states[p],
-                results[p])) {
-      alive[p] = 0;
-    }
+void Router::wave_run_items(const Wave& w, std::size_t pos, const std::uint16_t* items,
+                            std::size_t count) {
+  for (std::size_t k = 0; k < count; ++k) wave_run_item(w, pos, items[k]);
+}
+
+void Router::wave_run_item(const Wave& w, std::size_t pos, std::size_t p) {
+  if (!run_fn(views_[p].fns()[pos], views_[p], w.ingress, w.now, w.sampled[p] != 0,
+              w.states[p], w.results[p])) {
+    w.alive[p] = 0;
   }
-  sample_this_packet_ = false;
 }
 
-void Router::wave_match(OpKey key, OpModule* module, std::size_t pos,
-                        const std::uint16_t* items, std::size_t count,
-                        FaceId ingress, SimTime now, FnRunState* states,
-                        std::uint8_t* alive, const std::uint8_t* sampled,
-                        std::span<ProcessResult> results) {
-  FlowCache* cache = env_.flow_cache.get();
-  const std::size_t want_bytes = key == OpKey::kMatch32 ? 4 : 16;
-  const fib::Ipv4Lpm* f32 = key == OpKey::kMatch32 ? env_.fib32_view() : nullptr;
-  const fib::Ipv6Lpm* f128 =
-      key == OpKey::kMatch128 ? env_.fib128_view() : nullptr;
-  const bool view_ok = key == OpKey::kMatch32 ? f32 != nullptr : f128 != nullptr;
-  const std::uint64_t generation =
-      view_ok ? (f32 != nullptr ? f32->generation() : f128->generation()) : 0;
-  const std::uint32_t cost = module->cost();
-  const std::size_t key_slot =
-      static_cast<std::size_t>(key) % env_.counters.fn_by_key.size();
+inline bool Router::wave_admit(const Wave& w, std::size_t pos, std::size_t p,
+                               bool batchable, std::uint32_t cost) {
+  if (w.sampled[p] || !batchable) {
+    // Sampled packets keep run_fn's timing; the rest keep its exact
+    // per-FN semantics (error paths, uncacheable slices).
+    wave_run_item(w, pos, p);
+    return false;
+  }
+  if (!charge(w.states[p].budget, cost, w.results[p])) {
+    w.alive[p] = 0;
+    return false;
+  }
+  return true;
+}
+
+void Router::wave_match(OpKey key, OpModule& module, const Wave& w, std::size_t pos,
+                        const std::uint16_t* items, std::size_t count) {
+  const MatchCtx m = match_ctx(env_, key);
+  const std::uint32_t cost = module.cost();
 
   // Pass A: hash every cacheable slice and prefetch its cache slot so the
-  // pass-B probes hit warm lines. Sampled packets keep the exact run_fn
-  // timing path; uncacheable slices keep run_fn's uncached module path.
+  // pass-B probes hit warm lines.
   const std::uint8_t** slices = arena_.alloc<const std::uint8_t*>(count);
   std::uint64_t* hashes = arena_.alloc<std::uint64_t>(count);
-  std::uint8_t* fast = arena_.alloc<std::uint8_t>(count);
   for (std::size_t k = 0; k < count; ++k) {
     const std::size_t p = items[k];
-    fast[k] = 0;
-    if (sampled[p] || !view_ok) continue;
-    const bytes::BitRange range = views_[p].fns()[pos].range();
-    if (!range.byte_aligned() || range.bit_length / 8 != want_bytes) continue;
-    const std::uint8_t* slice =
-        views_[p].locations().data() + range.bit_offset / 8;
-    slices[k] = slice;
-    hashes[k] = FlowCache::hash({slice, want_bytes});
-    fast[k] = 1;
-    cache->prefetch(hashes[k]);
+    slices[k] = match_slice(m, views_[p], views_[p].fns()[pos]);
+    if (slices[k] == nullptr) continue;
+    hashes[k] = FlowCache::hash({slices[k], m.width});
+    m.cache->prefetch(hashes[k]);
   }
 
   // Pass B, in arrival order (a miss's insert must be visible to the next
@@ -597,117 +647,37 @@ void Router::wave_match(OpKey key, OpModule* module, std::size_t pos,
   // Counter deltas stay local and flush once per group: the relaxed
   // fetch_adds were the single largest per-packet cost on this path.
   std::uint64_t executed = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
+  MatchTally tally;
   for (std::size_t k = 0; k < count; ++k) {
     const std::size_t p = items[k];
-    ProcessResult& result = results[p];
-    FnRunState& state = states[p];
-    if (!fast[k]) {
-      sample_this_packet_ = sampled[p] != 0;
-      if (!run_fn(views_[p].fns()[pos], views_[p], ingress, now, state, result)) {
-        alive[p] = 0;
-      }
-      sample_this_packet_ = false;
-      continue;
-    }
-    if (cost > state.budget) {
-      result.drop(DropReason::kBudgetExhausted);
-      alive[p] = 0;
-      continue;
-    }
-    state.budget -= cost;
-    const std::span<const std::uint8_t> slice{slices[k], want_bytes};
+    if (!wave_admit(w, pos, p, slices[k] != nullptr, cost)) continue;
     ++executed;
-    if (const FlowCache::Verdict* v =
-            cache->find_hashed(slice, hashes[k], generation)) {
-      ++hits;
-      if (v->no_route) {
-        result.drop(DropReason::kNoRoute);
-        alive[p] = 0;
-        continue;
-      }
-      result.egress.assign(1, v->egress);
-      if (result.action != Action::kForward) alive[p] = 0;
-      continue;
+    if (!match_item(env_, m, slices[k], hashes[k], module, views_[p].fns()[pos],
+                    views_[p], w.ingress, w.now, w.states[p].scratch, w.results[p],
+                    tally)) {
+      w.alive[p] = 0;
     }
-    ++misses;
-    if (f32 != nullptr) {
-      // Pull the FIB's first dependent load (DIR-24-8 base slab) while the
-      // module sets up its walk.
-      fib::Ipv4Addr addr{};
-      std::memcpy(addr.bytes.data(), slices[k], 4);
-      f32->prefetch(addr);
-    }
-    const FnTriple& fn = views_[p].fns()[pos];
-    OpContext ctx;
-    ctx.locations = views_[p].locations();
-    ctx.field = fn.range();
-    ctx.fn = fn;
-    ctx.payload = views_[p].payload();
-    ctx.ingress = ingress;
-    ctx.now = now;
-    ctx.env = &env_;
-    ctx.result = &result;
-    ctx.scratch = &state.scratch;
-    const bool egress_was_empty = result.egress.empty();
-    if (const auto st = module->execute(ctx); !st) {
-      result.drop(DropReason::kMalformed);
-      alive[p] = 0;
-      continue;
-    }
-    if (result.action == Action::kForward && egress_was_empty &&
-        result.egress.size() == 1) {
-      cache->insert(slice, generation, {result.egress[0], false});
-    } else if (result.action == Action::kDrop &&
-               result.reason == DropReason::kNoRoute) {
-      cache->insert(slice, generation, {0, true});
-    }
-    if (result.action != Action::kForward) alive[p] = 0;
   }
-  env_.counters.fn_executed += executed;
-  env_.counters.fn_by_key[key_slot] += executed;
-  if (hits != 0) env_.counters.flow_cache_hits += hits;
-  if (misses != 0) env_.counters.flow_cache_misses += misses;
+  count_executed(env_, key, executed);
+  tally.flush(env_);
 }
 
-void Router::wave_parm(OpModule* module, std::size_t pos,
-                       const std::uint16_t* items, std::size_t count,
-                       FnRunState* states, std::uint8_t* alive,
-                       const std::uint8_t* sampled,
-                       std::span<ProcessResult> results, FaceId ingress,
-                       SimTime now) {
+void Router::wave_parm(OpModule& module, const Wave& w, std::size_t pos,
+                       const std::uint16_t* items, std::size_t count) {
   // One AES key schedule for the whole group: K_i = AES_{node_secret}(sid_i)
   // is multi-block under the env's memoised schedule (env_.drkey()).
-  const std::uint32_t cost = module->cost();
-  const std::size_t key_slot =
-      static_cast<std::size_t>(OpKey::kParm) % env_.counters.fn_by_key.size();
-
+  // ParmOp's malformed-field errors take run_fn's path.
+  const std::uint32_t cost = module.cost();
   crypto::SessionId* sids = arena_.alloc<crypto::SessionId>(count);
   crypto::Block* keys = arena_.alloc<crypto::Block>(count);
   std::uint16_t* lanes = arena_.alloc<std::uint16_t>(count);
   std::size_t lane_n = 0;
-  std::uint64_t executed = 0;
   for (std::size_t k = 0; k < count; ++k) {
     const std::size_t p = items[k];
-    FnRunState& state = states[p];
-    const FnTriple& fn = views_[p].fns()[pos];
-    const bytes::BitRange range = fn.range();
-    if (sampled[p] || range.bit_length != 128 || !range.byte_aligned()) {
-      // ParmOp's malformed-field errors (and sampled timing) keep the
-      // exact run_fn path.
-      sample_this_packet_ = sampled[p] != 0;
-      if (!run_fn(fn, views_[p], ingress, now, state, results[p])) alive[p] = 0;
-      sample_this_packet_ = false;
+    const bytes::BitRange range = views_[p].fns()[pos].range();
+    if (!wave_admit(w, pos, p, range.bit_length == 128 && range.byte_aligned(), cost)) {
       continue;
     }
-    if (cost > state.budget) {
-      results[p].drop(DropReason::kBudgetExhausted);
-      alive[p] = 0;
-      continue;
-    }
-    state.budget -= cost;
-    ++executed;
     sids[lane_n] = crypto::block_from(
         views_[p].locations().subspan(range.bit_offset / 8, 16));
     lanes[lane_n] = static_cast<std::uint16_t>(p);
@@ -716,63 +686,40 @@ void Router::wave_parm(OpModule* module, std::size_t pos,
   if (lane_n != 0) {
     env_.drkey().derive_blocks(sids, keys, lane_n);
     for (std::size_t k = 0; k < lane_n; ++k) {
-      states[lanes[k]].scratch.dynamic_key = keys[k];
+      w.states[lanes[k]].scratch.dynamic_key = keys[k];
     }
   }
-  env_.counters.fn_executed += executed;
-  env_.counters.fn_by_key[key_slot] += executed;
+  count_executed(env_, OpKey::kParm, lane_n);
 }
 
-void Router::wave_mac(OpModule* module, std::size_t pos,
-                      const std::uint16_t* items, std::size_t count,
-                      FnRunState* states, std::uint8_t* alive,
-                      const std::uint8_t* sampled,
-                      std::span<ProcessResult> results, FaceId ingress,
-                      SimTime now) {
+void Router::wave_mac(OpModule& module, const Wave& w, std::size_t pos,
+                      const std::uint16_t* items, std::size_t count) {
   // Batch 2EM CMAC: every packet's tag chains in lockstep through the
   // shared P1/P2 permutations (two_em_mac_blocks), instead of one serial
   // CMAC per packet. kEm2 only — the dispatcher routes kAesCmac nodes to
-  // the per-item path.
-  const std::uint32_t cost = module->cost();
-  const std::size_t key_slot =
-      static_cast<std::size_t>(OpKey::kMac) % env_.counters.fn_by_key.size();
+  // the per-item path. A missing F_parm key (kState error) or an
+  // unaligned/empty coverage takes run_fn's path.
+  const std::uint32_t cost = module.cost();
   crypto::MacBatchItem* batch = arena_.alloc<crypto::MacBatchItem>(count);
   std::size_t batch_n = 0;
-  std::uint64_t executed = 0;
   for (std::size_t k = 0; k < count; ++k) {
     const std::size_t p = items[k];
-    FnRunState& state = states[p];
-    const FnTriple& fn = views_[p].fns()[pos];
-    const bytes::BitRange range = fn.range();
-    const bool batchable = !sampled[p] && state.scratch.dynamic_key.has_value() &&
-                           range.byte_aligned() && range.bit_length != 0;
-    if (!batchable) {
-      // Missing F_parm (kState error), unaligned/empty coverage, or a
-      // sampled packet: exact run_fn semantics.
-      sample_this_packet_ = sampled[p] != 0;
-      if (!run_fn(fn, views_[p], ingress, now, state, results[p])) alive[p] = 0;
-      sample_this_packet_ = false;
-      continue;
-    }
-    if (cost > state.budget) {
-      results[p].drop(DropReason::kBudgetExhausted);
-      alive[p] = 0;
-      continue;
-    }
-    state.budget -= cost;
-    ++executed;
-    state.scratch.mac.emplace();
+    OpScratch& scratch = w.states[p].scratch;
+    const bytes::BitRange range = views_[p].fns()[pos].range();
+    const bool batchable = scratch.dynamic_key.has_value() && range.byte_aligned() &&
+                           range.bit_length != 0;
+    if (!wave_admit(w, pos, p, batchable, cost)) continue;
+    scratch.mac.emplace();
     new (&batch[batch_n]) crypto::MacBatchItem{
-        *state.scratch.dynamic_key,
+        *scratch.dynamic_key,
         std::span<const std::uint8_t>(
             views_[p].locations().data() + range.bit_offset / 8,
             range.bit_length / 8),
-        &*state.scratch.mac};
+        &*scratch.mac};
     ++batch_n;
   }
   if (batch_n != 0) crypto::two_em_mac_blocks({batch, batch_n});
-  env_.counters.fn_executed += executed;
-  env_.counters.fn_by_key[key_slot] += executed;
+  count_executed(env_, OpKey::kMac, batch_n);
 }
 
 void Router::finish_packet(std::size_t i, FaceId ingress, SimTime now, bool sampled,
@@ -796,79 +743,45 @@ void Router::finish_packet(std::size_t i, FaceId ingress, SimTime now, bool samp
 
 void Router::record_trace(const HeaderView& view, FaceId ingress, SimTime now,
                           std::uint64_t t_start, const ProcessResult& result) {
-  static_assert(telemetry::TraceRecord::kMaxFns == HeaderView::kMaxFns);
-  telemetry::TraceRecord rec;
+  telemetry::TraceRecord rec = trace_record(&view, ingress, now, result);
   rec.start_ns = t_start;
-  rec.sim_now = now;
-  rec.duration_ns =
-      static_cast<std::uint32_t>(telemetry::now_ns() - t_start);
-  rec.ingress = ingress;
-  const auto fns = view.fns();
-  rec.fn_count = static_cast<std::uint8_t>(fns.size());
-  for (std::size_t i = 0; i < fns.size(); ++i) {
-    rec.fns[i] = {fns[i].field_loc, fns[i].field_len, fns[i].op};
-  }
-  rec.action = static_cast<std::uint8_t>(result.action);
-  rec.reason = static_cast<std::uint8_t>(result.reason);
-  rec.egress_count = static_cast<std::uint8_t>(
-      result.egress.size() < 255 ? result.egress.size() : 255);
+  rec.duration_ns = static_cast<std::uint32_t>(telemetry::now_ns() - t_start);
   env_.stats->trace.push(rec);
 }
 
-bool Router::fns_fit(const HeaderView& view) noexcept {
-  const std::size_t loc_bits = view.locations().size() * 8;
-  for (const FnTriple& fn : view.fns()) {
-    if (fn.host_tagged()) continue;  // routers never slice host-tagged fields
-    if (static_cast<std::size_t>(fn.field_loc) + fn.field_len > loc_bits) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void Router::quarantine(const HeaderView* view, FaceId ingress, SimTime now,
-                        ProcessResult& result) {
+void Router::quarantine(FaceId ingress, SimTime now, ProcessResult& result) {
   result.drop(DropReason::kCorruptQuarantine);
   ++env_.counters.quarantined;
-  telemetry::RouterStats* stats = env_.stats.get();
-  if (stats == nullptr) return;
   // Forced trace record — quarantines bypass the sampler so the TraceRing
   // holds evidence for every corrupt packet (bounded by ring overwrite).
-  telemetry::TraceRecord rec;
-  rec.start_ns = 0;
-  rec.sim_now = now;
-  rec.duration_ns = 0;
-  rec.ingress = ingress;
-  rec.fn_count = 0;
-  if (view != nullptr) {
-    const auto fns = view->fns();
-    rec.fn_count = static_cast<std::uint8_t>(fns.size());
-    for (std::size_t i = 0; i < fns.size(); ++i) {
-      rec.fns[i] = {fns[i].field_loc, fns[i].field_len, fns[i].op};
-    }
+  if (env_.stats != nullptr) {
+    env_.stats->trace.push(trace_record(nullptr, ingress, now, result));
   }
-  rec.action = static_cast<std::uint8_t>(result.action);
-  rec.reason = static_cast<std::uint8_t>(result.reason);
-  rec.egress_count = 0;
-  stats->trace.push(rec);
 }
 
-void Router::dispatch(HeaderView& view, FaceId ingress, SimTime now,
+void Router::dispatch(HeaderView& view, FaceId ingress, SimTime now, bool sampled,
                       ProcessResult& result) {
+  // §2.2 modular parallelism: the sender asserts the FNs are independent;
+  // the router verifies (order-independent keys, disjoint fields) before
+  // relaxing the schedule, and falls back to sequential order otherwise.
+  // Any schedule is legal for independent FNs; running back to front is
+  // the cheapest observably different one — it keeps the relaxation
+  // honest (a dependence bug shows up as a verdict difference in the
+  // batch-equivalence property test).
+  bool reversed = false;
   if (view.basic().parallel) {
-    // §2.2 modular parallelism: the sender asserts the FNs are independent;
-    // the router verifies (order-independent keys, disjoint fields) before
-    // relaxing the schedule, and falls back to sequential order otherwise.
-    if (relax_eligible(view)) {
+    reversed = relax_eligible(view);
+    if (reversed) {
       ++env_.counters.parallel_relaxed;
-      dispatch_relaxed(view, ingress, now, result);
-      return;
+    } else {
+      ++env_.counters.parallel_fallback;
     }
-    ++env_.counters.parallel_fallback;
   }
   FnRunState state{env_.limits.per_packet_budget, {}};
-  for (const FnTriple& fn : view.fns()) {
-    if (!run_fn(fn, view, ingress, now, state, result)) return;
+  const auto fns = view.fns();
+  for (std::size_t k = 0; k < fns.size(); ++k) {
+    const FnTriple& fn = fns[reversed ? fns.size() - 1 - k : k];
+    if (!run_fn(fn, view, ingress, now, sampled, state, result)) return;
   }
 }
 
@@ -896,6 +809,11 @@ OpModule* Router::find_module(OpKey key) const noexcept {
   return registry_ != nullptr ? registry_->find(key) : nullptr;
 }
 
+bool Router::stateful(const FnTriple& fn) const noexcept {
+  return !fn.host_tagged() && find_module(fn.key()) != nullptr &&
+         !op_burst_commutes(fn.key());
+}
+
 void Router::refresh_module_table() {
   for (std::size_t k = 0; k < kModuleTableSize; ++k) {
     module_table_[k] = registry_->find(static_cast<OpKey>(k));
@@ -904,157 +822,41 @@ void Router::refresh_module_table() {
 }
 
 bool Router::run_fn(const FnTriple& fn, HeaderView& view, FaceId ingress, SimTime now,
-                    FnRunState& state, ProcessResult& result) {
+                    bool sampled, FnRunState& state, ProcessResult& result) {
   // Algorithm 1, line 5: host-tagged operations are skipped by routers.
   if (fn.host_tagged()) {
     ++env_.counters.fn_skipped_host;
     return true;
   }
-
-  OpModule* module = find_module(fn.key());
-  if (module == nullptr || !env_.supports(fn.key())) {
-    // §2.4 heterogeneous configuration: a path-critical FN that this node
-    // cannot honor triggers an ICMP-like notification; others are skipped.
-    const auto info = fn_info(fn.key());
-    if (info && info->requires_full_path) {
-      result.fail_unsupported(fn.key());
-      return false;
-    }
-    ++env_.counters.fn_skipped_optional;
-    return true;
-  }
-
-  const std::uint32_t cost = module->cost();
-  if (cost > state.budget) {
-    // §2.4: hard per-packet processing limit.
-    result.drop(DropReason::kBudgetExhausted);
+  const OpKey key = fn.key();
+  OpModule* module = find_module(key);
+  if (module == nullptr || !env_.supports(key)) {
+    if (!unsupported_fatal(env_, key, 1)) return true;
+    result.fail_unsupported(key);
     return false;
   }
-  state.budget -= cost;
+  if (!charge(state.budget, module->cost(), result)) return false;
+  count_executed(env_, key, 1);
 
-  const OpKey key = fn.key();
-  const std::size_t key_idx =
-      static_cast<std::size_t>(key) % env_.counters.fn_by_key.size();
   // Per-FN latency, recorded only for packets the stats sampler picked
-  // (sample_this_packet_ is always false with stats disabled).
-  const std::uint64_t t0 = sample_this_packet_ ? telemetry::now_ns() : 0;
-
+  // (`sampled` is always false with stats disabled).
+  const std::uint64_t t0 = sampled ? telemetry::now_ns() : 0;
   bool ok;
-  if (env_.flow_cache != nullptr &&
-      (key == OpKey::kMatch32 || key == OpKey::kMatch128)) {
-    ok = run_match(fn, module, view, ingress, now, state, result);
+  const MatchCtx m = match_ctx(env_, key);
+  if (const std::uint8_t* slice = match_slice(m, view, fn)) {
+    MatchTally tally;
+    ok = match_item(env_, m, slice, FlowCache::hash({slice, m.width}), *module, fn,
+                    view, ingress, now, state.scratch, result, tally);
+    tally.flush(env_);
   } else {
-    OpContext ctx;
-    ctx.locations = view.locations();
-    ctx.field = fn.range();
-    ctx.fn = fn;
-    ctx.payload = view.payload();
-    ctx.ingress = ingress;
-    ctx.now = now;
-    ctx.env = &env_;
-    ctx.result = &result;
-    ctx.scratch = &state.scratch;
-
-    ++env_.counters.fn_executed;
-    ++env_.counters.fn_by_key[key_idx];
-    if (const auto st = module->execute(ctx); !st) {
-      result.drop(DropReason::kMalformed);
-      ok = false;
-    } else {
-      ok = result.action == Action::kForward;
-    }
+    ok = execute(env_, *module, fn, view, ingress, now, state.scratch, result) &&
+         result.action == Action::kForward;
   }
-
-  if (sample_this_packet_) {
-    env_.stats->fn_ns[key_idx].record(telemetry::now_ns() - t0);
+  if (sampled) {
+    env_.stats->fn_ns[static_cast<std::size_t>(key) % env_.counters.fn_by_key.size()]
+        .record(telemetry::now_ns() - t0);
   }
   return ok;
-}
-
-bool Router::run_match(const FnTriple& fn, OpModule* module, HeaderView& view,
-                       FaceId ingress, SimTime now, FnRunState& state,
-                       ProcessResult& result) {
-  const OpKey key = fn.key();
-  const auto key_idx = static_cast<std::size_t>(key) % env_.counters.fn_by_key.size();
-  const bytes::BitRange range = fn.range();
-
-  // The cache key is the sliced match field. Only the canonical byte-aligned
-  // widths are memoized; anything else takes the module path untouched.
-  std::span<const std::uint8_t> slice;
-  std::uint64_t generation = 0;
-  bool cacheable = false;
-  if (range.byte_aligned()) {
-    const std::size_t len_bytes = range.bit_length / 8;
-    const bool width_ok = (key == OpKey::kMatch32 && len_bytes == 4) ||
-                          (key == OpKey::kMatch128 && len_bytes == 16);
-    const fib::Ipv4Lpm* f32 = env_.fib32_view();
-    const fib::Ipv6Lpm* f128 = env_.fib128_view();
-    if (width_ok && (key == OpKey::kMatch32 ? f32 != nullptr : f128 != nullptr)) {
-      slice = view.locations().subspan(range.bit_offset / 8, len_bytes);
-      generation = key == OpKey::kMatch32 ? f32->generation() : f128->generation();
-      cacheable = true;
-    }
-  }
-
-  if (cacheable) {
-    if (const FlowCache::Verdict* v = env_.flow_cache->find(slice, generation)) {
-      // The memoized verdict is exactly what the module would compute under
-      // this FIB generation; counters advance as if it had run.
-      ++env_.counters.flow_cache_hits;
-      ++env_.counters.fn_executed;
-      ++env_.counters.fn_by_key[key_idx];
-      if (v->no_route) {
-        result.drop(DropReason::kNoRoute);
-        return false;
-      }
-      result.egress.assign(1, v->egress);
-      return result.action == Action::kForward;
-    }
-    ++env_.counters.flow_cache_misses;
-  }
-
-  OpContext ctx;
-  ctx.locations = view.locations();
-  ctx.field = range;
-  ctx.fn = fn;
-  ctx.payload = view.payload();
-  ctx.ingress = ingress;
-  ctx.now = now;
-  ctx.env = &env_;
-  ctx.result = &result;
-  ctx.scratch = &state.scratch;
-
-  ++env_.counters.fn_executed;
-  ++env_.counters.fn_by_key[key_idx];
-  const bool egress_was_empty = result.egress.empty();
-  if (const auto st = module->execute(ctx); !st) {
-    result.drop(DropReason::kMalformed);
-    return false;
-  }
-
-  if (cacheable) {
-    if (result.action == Action::kForward && egress_was_empty &&
-        result.egress.size() == 1) {
-      env_.flow_cache->insert(slice, generation, {result.egress[0], false});
-    } else if (result.action == Action::kDrop &&
-               result.reason == DropReason::kNoRoute) {
-      env_.flow_cache->insert(slice, generation, {0, true});
-    }
-  }
-  return result.action == Action::kForward;
-}
-
-void Router::dispatch_relaxed(HeaderView& view, FaceId ingress, SimTime now,
-                              ProcessResult& result) {
-  // Relaxed ordering: any schedule is legal for independent FNs. Running
-  // back to front is the cheapest observably different one — it keeps the
-  // relaxation honest (a dependence bug shows up as a verdict difference in
-  // the batch-equivalence property test).
-  FnRunState state{env_.limits.per_packet_budget, {}};
-  const auto fns = view.fns();
-  for (std::size_t i = fns.size(); i-- > 0;) {
-    if (!run_fn(fns[i], view, ingress, now, state, result)) return;
-  }
 }
 
 }  // namespace dip::core

@@ -39,7 +39,7 @@ struct RecvOutcome {
   /// only buffer-many bytes were written).
   std::size_t size = 0;
   bool truncated = false;
-  Endpoint from;
+  Endpoint from{};
 };
 
 class DatagramSocket {

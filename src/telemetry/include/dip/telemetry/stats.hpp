@@ -20,6 +20,7 @@
 // struct inside RouterEnv.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -42,6 +43,8 @@ struct RouterStatsConfig {
   /// Trace ring capacity (records; rounded up to a power of two).
   std::size_t trace_capacity = 1024;
 };
+
+struct RouterStatsSnapshot;
 
 struct RouterStats {
   /// Slot count for the per-OpKey series; keys index modulo this, matching
@@ -79,7 +82,61 @@ struct RouterStats {
   Sampler burst_sampler;
 
   RouterStatsConfig config;
+
+  /// Copy of the recorded series (see RouterStatsSnapshot).
+  [[nodiscard]] RouterStatsSnapshot snapshot() const noexcept;
 };
+
+/// A point-in-time copy of one RouterStats block's recorded series. Fleet
+/// views merge worker snapshots with +=: counters and histograms sum, the
+/// arena high-water takes the maximum (each worker owns its own arena).
+struct RouterStatsSnapshot {
+  HistogramSnapshot phase_bind;
+  HistogramSnapshot phase_validate;
+  HistogramSnapshot phase_dispatch;
+  std::array<HistogramSnapshot, RouterStats::kOpKeySlots> fn_ns{};
+  std::uint64_t trace_sampled = 0;
+  std::uint64_t trace_dropped = 0;
+  std::uint64_t burst_packets = 0;
+  std::uint64_t burst_bound = 0;
+  std::uint64_t burst_wave = 0;
+  std::uint64_t burst_legacy = 0;
+  std::uint64_t arena_high_water = 0;
+  std::uint64_t arena_capacity = 0;
+
+  RouterStatsSnapshot& operator+=(const RouterStatsSnapshot& o) noexcept {
+    phase_bind += o.phase_bind;
+    phase_validate += o.phase_validate;
+    phase_dispatch += o.phase_dispatch;
+    for (std::size_t k = 0; k < fn_ns.size(); ++k) fn_ns[k] += o.fn_ns[k];
+    trace_sampled += o.trace_sampled;
+    trace_dropped += o.trace_dropped;
+    burst_packets += o.burst_packets;
+    burst_bound += o.burst_bound;
+    burst_wave += o.burst_wave;
+    burst_legacy += o.burst_legacy;
+    arena_high_water = std::max(arena_high_water, o.arena_high_water);
+    arena_capacity += o.arena_capacity;
+    return *this;
+  }
+};
+
+inline RouterStatsSnapshot RouterStats::snapshot() const noexcept {
+  RouterStatsSnapshot s;
+  s.phase_bind = phase_bind.snapshot();
+  s.phase_validate = phase_validate.snapshot();
+  s.phase_dispatch = phase_dispatch.snapshot();
+  for (std::size_t k = 0; k < fn_ns.size(); ++k) s.fn_ns[k] = fn_ns[k].snapshot();
+  s.trace_sampled = trace.pushed();
+  s.trace_dropped = trace.dropped();
+  s.burst_packets = burst_packets.load();
+  s.burst_bound = burst_bound.load();
+  s.burst_wave = burst_wave.load();
+  s.burst_legacy = burst_legacy.load();
+  s.arena_high_water = arena_high_water.load();
+  s.arena_capacity = arena_capacity.load();
+  return s;
+}
 
 /// Convenience factory for RouterEnv::stats.
 [[nodiscard]] inline std::unique_ptr<RouterStats> make_router_stats(

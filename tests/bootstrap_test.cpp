@@ -121,9 +121,9 @@ AsGraph hotnets_graph() {
   no_opt.remove(OpKey::kMark);
   graph.add_as(3, no_opt);
   graph.add_as(4, full_capability_set());
-  graph.add_link(1, 2);
-  graph.add_link(2, 3);
-  graph.add_link(3, 4);
+  EXPECT_TRUE(graph.add_link(1, 2));
+  EXPECT_TRUE(graph.add_link(2, 3));
+  EXPECT_TRUE(graph.add_link(3, 4));
   return graph;
 }
 

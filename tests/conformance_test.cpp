@@ -23,11 +23,13 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "dip/core/ip.hpp"
 #include "dip/core/router_pool.hpp"
 #include "dip/mesh/frame.hpp"
 #include "dip/mesh/socket.hpp"
@@ -561,8 +563,8 @@ TEST(Conformance, ReKeyReachesParmWaveAndHvfOnTheNextBurst) {
     // Batch: the whole stream in one burst, so F_parm runs as wave_parm.
     std::vector<Packet> batch = stream;
     std::vector<core::PacketRef> refs(batch.begin(), batch.end());
-    std::vector<core::ProcessResult> batch_results;
-    const auto run_batch = [&] { batch_results = router.process_batch(refs, ingress, now); };
+    std::vector<core::ProcessResult> batch_results(batch.size());
+    const auto run_batch = [&] { router.process_batch(refs, ingress, now, batch_results); };
     if (scalar_first) {
       run_scalar();
       run_batch();
@@ -584,6 +586,82 @@ TEST(Conformance, ReKeyReachesParmWaveAndHvfOnTheNextBurst) {
     // Only the current epoch's session verifies at EPIC: half the EPIC
     // packets forward, and they are exactly that session's.
     EXPECT_EQ(epic_forwarded, stream.size() / 4) << "epoch " << epoch;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// 3a4. Budget exhaustion inside the wave kernels. With a per-packet budget
+// below the program's cost, the DIP-32 match wave and the OPT parm and MAC
+// waves drop packets at their own admission step, not through run_fn.
+// Bursts of one program (the uniform plan) and of both (the general plan)
+// must reproduce the per-packet path's verdicts, bytes and counters, and
+// the refmodel's verdicts and bytes under the same budget.
+// ---------------------------------------------------------------------------
+
+TEST(Conformance, WaveKernelBudgetDropsMatchScalarAndRefmodel) {
+  crypto::Xoshiro256 rng(0xB06E7);
+  std::vector<Packet> dip32, opt_only, mixed;
+  for (int i = 0; i < 8; ++i) {
+    dip32.push_back(proptest::gen::finish(
+        core::make_dip32_header(fib::ipv4_from_u32(proptest::gen::routable32(rng)),
+                                fib::ipv4_from_u32(rng.u32())),
+        proptest::gen::random_payload(rng, 12)));
+    const Packet payload = proptest::gen::random_payload(rng, 12);
+    opt_only.push_back(proptest::gen::finish(
+        opt::make_opt_header(w::session(), payload, rng.u32(), core::NextHeader::kNone, 64),
+        payload));
+    mixed.push_back(dip32.back());
+    mixed.push_back(opt_only.back());
+  }
+  // Every counter but `batches`, which counts bursts and so tells the
+  // shapes apart by design.
+  const auto counters_of = [](const core::Router& r) {
+    const telemetry::CounterSnapshot s = r.env().counters.snapshot();
+    return std::make_tuple(s.processed, s.forwarded, s.dropped, s.errors, s.quarantined,
+                           s.fn_executed, s.fn_skipped_host, s.fn_skipped_optional,
+                           s.flow_cache_hits, s.flow_cache_misses, s.parallel_relaxed,
+                           s.parallel_fallback, s.fn_by_key);
+  };
+
+  const SharedTables tables = make_shared_tables();
+  const std::shared_ptr<core::OpRegistry> registry = make_registry(false);
+  const core::FaceId ingress = w::ingress_of(0);
+  const SimTime now = w::now_of(0);
+  // DIP-32 costs F_32_match 2 + F_source 1; OPT costs F_parm 2 + F_MAC 8 +
+  // F_mark 2. Budget 1 stops F_32_match and F_parm in their waves; budget 3
+  // forwards DIP-32 and stops F_MAC in its wave.
+  for (const std::uint32_t budget : {1u, 3u}) {
+    for (const std::vector<Packet>* stream : {&dip32, &opt_only, &mixed}) {
+      core::Router scalar_router(make_env_factory(tables)(0), registry.get());
+      core::Router batch_router(make_env_factory(tables)(0), registry.get());
+      scalar_router.env().limits.per_packet_budget = budget;
+      batch_router.env().limits.per_packet_budget = budget;
+      refmodel::RefNode ref =
+          make_ref_node(/*lenient=*/false, /*dps=*/false, refmodel::Mutation::kNone,
+                        /*custody=*/false, budget);
+
+      std::vector<Packet> scalar = *stream;
+      std::vector<core::ProcessResult> scalar_results;
+      for (Packet& p : scalar) scalar_results.push_back(scalar_router.process(p, ingress, now));
+      std::vector<Packet> batch = *stream;
+      const std::vector<core::PacketRef> refs(batch.begin(), batch.end());
+      std::vector<core::ProcessResult> batch_results(batch.size());
+      batch_router.process_batch(refs, ingress, now, batch_results);
+
+      std::size_t budget_drops = 0;
+      for (std::size_t i = 0; i < stream->size(); ++i) {
+        Packet want = (*stream)[i];
+        const VerdictImage want_v = image_of(ref.process(want, ingress, now));
+        EXPECT_EQ(image_of(batch_results[i]), want_v) << "budget " << budget << " batch " << i;
+        EXPECT_EQ(batch[i], want) << "budget " << budget << " batch bytes " << i;
+        EXPECT_EQ(image_of(scalar_results[i]), want_v) << "budget " << budget << " scalar " << i;
+        EXPECT_EQ(scalar[i], want) << "budget " << budget << " scalar bytes " << i;
+        if (want_v.reason == image_of(core::DropReason::kBudgetExhausted)) ++budget_drops;
+      }
+      const std::size_t opt_packets = stream == &dip32 ? 0 : 8;
+      EXPECT_EQ(budget_drops, budget == 1 ? stream->size() : opt_packets) << "budget " << budget;
+      EXPECT_EQ(counters_of(batch_router), counters_of(scalar_router)) << "budget " << budget;
+    }
   }
 }
 

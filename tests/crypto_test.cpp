@@ -118,7 +118,7 @@ INSTANTIATE_TEST_SUITE_P(
                                 detail::encrypt_blocks_portable, false},
                       AesKernel{"aesni", detail::expand_key_aesni,
                                 detail::encrypt_blocks_aesni, true}),
-    [](const ::testing::TestParamInfo<AesKernel>& info) { return info.param.name; });
+    [](const ::testing::TestParamInfo<AesKernel>& kernel) { return kernel.param.name; });
 
 TEST(AesKernels, HardwareMatchesPortableOnRandomKeysAndStrips) {
   if (!hardware_aes()) GTEST_SKIP() << "CPU has no AES-NI";

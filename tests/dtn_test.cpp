@@ -310,7 +310,7 @@ TEST(DtnOps, BundleFragOpBoundsChecksGeometry) {
     EXPECT_EQ(rig.router->process(packet, 0, 0).action, core::Action::kForward);
   }
   // total == 0 and index >= total are malformed.
-  for (const auto [index, total] :
+  for (const auto& [index, total] :
        {std::pair<std::uint16_t, std::uint16_t>{0, 0},
         std::pair<std::uint16_t, std::uint16_t>{8, 8},
         std::pair<std::uint16_t, std::uint16_t>{9, 4}}) {

@@ -194,14 +194,18 @@ TEST_P(LpmEngineTest, AgreesWithOracleUnderRandomWorkload) {
       const auto a = oracle.insert(p, nh);
       const auto b = table_->insert(p, nh);
       EXPECT_EQ(a.has_value(), b.has_value());
-      if (a && b) EXPECT_EQ(*a, *b);
+      if (a && b) {
+        EXPECT_EQ(*a, *b);
+      }
       inserted.push_back(p);
     } else if (action < 8) {
       const auto& p = inserted[rng.below(inserted.size())];
       const auto a = oracle.remove(p);
       const auto b = table_->remove(p);
       EXPECT_EQ(a.has_value(), b.has_value());
-      if (a && b) EXPECT_EQ(*a, *b);
+      if (a && b) {
+        EXPECT_EQ(*a, *b);
+      }
     } else {
       // Probe both a random address and a recently inserted one.
       const Ipv4Addr probe = ipv4_from_u32(rng.u32());

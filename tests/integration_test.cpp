@@ -156,7 +156,7 @@ TEST_F(FiveProtocolFixture, NdnOptSecureContentDelivery) {
                              crypto::Xoshiro256(4).block());
 
   path->destination.set_receiver(
-      [&](netsim::FaceId face, netsim::PacketBytes packet, SimTime) {
+      [&](netsim::FaceId face, netsim::PacketBytes, SimTime) {
         // Producer: NDN+OPT data packet with authentication tags.
         const auto reply =
             opt::make_ndn_opt_header(code, /*interest=*/false, session, content, 99);

@@ -229,7 +229,8 @@ TEST_P(DispatchEquivalence, SingletonAndWaveAgree) {
   const auto r1 = single_router.process(p1, 3, 100);
   std::vector<std::uint8_t> burst[] = {make_packet(), make_packet()};
   const PacketRef refs[] = {burst[0], burst[1]};
-  const auto rs = burst_router.process_batch(refs, 3, 100);
+  ProcessResult rs[std::size(burst)];
+  burst_router.process_batch(refs, 3, 100, rs);
 
   for (std::size_t i = 0; i < std::size(burst); ++i) {
     EXPECT_EQ(r1.action, rs[i].action);

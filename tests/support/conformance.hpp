@@ -127,7 +127,7 @@ inline core::EnvFactory make_env_factory(const SharedTables& tables,
 inline refmodel::RefNode make_ref_node(
     bool lenient, bool dps_enabled = false,
     refmodel::Mutation mutation = refmodel::Mutation::kNone,
-    bool custody_enabled = false) {
+    bool custody_enabled = false, std::uint32_t per_packet_budget = w::kBudget) {
   refmodel::RefConfig cfg;
   cfg.node_id = w::kNodeId;
   cfg.node_secret = w::node_secret();
@@ -135,7 +135,7 @@ inline refmodel::RefNode make_ref_node(
   cfg.enforce_pass = true;
   cfg.lenient = lenient;
   cfg.default_egress = w::kDefaultEgress;
-  cfg.per_packet_budget = w::kBudget;
+  cfg.per_packet_budget = per_packet_budget;
   cfg.max_fn_per_packet = w::kMaxFnPerPacket;
   cfg.pit_lifetime = w::kPitLifetime;
   cfg.pit_max_entries = w::kPitMaxEntries;
